@@ -5,6 +5,8 @@ CDF over a +-12s window (omitted mass below 2^-180).  klein_gpv_sample runs
 the randomized nearest-plane procedure coefficient by coefficient; the batch
 variant vectorizes it, with a product fast path for orthogonal bases where
 the per-coordinate centers are identically zero and the procedure is exact.
+On other bases every coordinate goes through sample_z_batch, a cache-blocked
+kernel whose working memory is bounded by its block, not by rows * window.
 """
 
 from __future__ import annotations
@@ -87,25 +89,51 @@ def sample_z(center: float, s: float, rng: np.random.Generator) -> int:
 
 
 def sample_z_batch(centers: np.ndarray, s: float, rng: np.random.Generator,
-                   chunk_cells: int = 1 << 24) -> np.ndarray:
-    """Vectorized sample_z with per-row centers (same s)."""
+                   chunk_cells: int = 1 << 16) -> np.ndarray:
+    """Vectorized sample_z with per-row centers (same s).
+
+    Rows are drawn in blocks of about chunk_cells cells (the default keeps
+    one float buffer at 512 KB, in cache).  A block is held as a
+    (width, rows) array, so the CDF accumulates down axis 0 as row-to-row
+    adds; its two float buffers and one bool buffer are allocated once per
+    call and reused, so working memory is bounded by the block, not by
+    m * width.  Each block consumes one rng.random(rows), and blocked calls
+    continue a single stream, so the draws and the generator state after
+    the call do not depend on chunk_cells.
+    """
     centers = np.asarray(centers, dtype=np.float64)
     m = centers.shape[0]
     half = int(math.ceil(12.0 * s)) + 1
     width = 2 * half + 1
     out = np.empty(m, dtype=np.int64)
-    rows_per_chunk = max(1, chunk_cells // width)
-    offs = np.arange(-half, half + 1)
-    for start in range(0, m, rows_per_chunk):
-        c = centers[start:start + rows_per_chunk]
-        base = np.floor(c + 0.5).astype(np.int64)
-        grid = base[:, None] + offs[None, :]
-        dev = grid - c[:, None]
-        w = np.exp(-math.pi * dev * dev / (s * s))
-        cdf = np.cumsum(w, axis=1)
-        u = rng.random(len(c)) * cdf[:, -1]
-        idx = (cdf < u[:, None]).sum(axis=1)
-        out[start:start + rows_per_chunk] = grid[np.arange(len(c)), idx]
+    block = max(1, min(m, chunk_cells // width))
+    offs = np.arange(-half, half + 1, dtype=np.float64)[:, None]
+    devs = np.empty(width * block)
+    cdfs = np.empty(width * block)
+    below = np.empty(width * block, dtype=bool)
+    for start in range(0, m, block):
+        c = centers[start:start + block]
+        n = len(c)
+        # Flat prefixes keep a short last block contiguous.
+        dev = devs[:width * n].reshape(width, n)
+        cdf = cdfs[:width * n].reshape(width, n)
+        b = below[:width * n].reshape(width, n)
+        base = np.floor(c + 0.5)
+        # base + off is an integer sum rounded once, so it equals
+        # float(int(base) + off); then w = ((-pi * dev) * dev) / s^2.
+        np.add(base, offs, out=dev)
+        np.subtract(dev, c, out=dev)
+        np.multiply(dev, -math.pi, out=cdf)
+        np.multiply(cdf, dev, out=cdf)
+        np.divide(cdf, s * s, out=cdf)
+        np.exp(cdf, out=cdf)
+        # Whole-row adds, in np.cumsum's order; np.cumsum(axis=0) would scan
+        # each column with a stride instead.
+        for i in range(1, width):
+            np.add(cdf[i - 1], cdf[i], out=cdf[i])
+        u = rng.random(n) * cdf[-1]
+        np.less(cdf, u, out=b)
+        out[start:start + n] = base.astype(np.int64) - half + np.count_nonzero(b, axis=0)
     return out
 
 

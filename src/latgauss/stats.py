@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,8 @@ def chi_squared_gof(observed, expected_probs, min_expected: float = 5.0,
     exp_b = np.array(exp_b)
     stat = float(((obs_b - exp_b) ** 2 / exp_b).sum())
     dof = len(exp_b) - 1
+    # imported here: at module level scipy would double `import latgauss`
+    from scipy.special import gammaincc
     p = float(gammaincc(dof / 2.0, stat / 2.0))
     return Chi2Result(p, stat, dof)
 
@@ -80,6 +81,7 @@ def chi_squared_counts(counts_a, counts_b, min_expected: float = 5.0) -> Chi2Res
         return Chi2Result(None, 0.0, 0, inconclusive=True)
     stat = ra.statistic + rb.statistic
     dof = ra.dof + rb.dof
+    from scipy.special import gammaincc
     p = float(gammaincc(dof / 2.0, stat / 2.0))
     return Chi2Result(p, stat, dof)
 

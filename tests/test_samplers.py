@@ -8,6 +8,7 @@ from latgauss import (Basis, PreconditionError, exact_dgs_sample,
                       smoothing_param, enumerate_ball, gram_schmidt,
                       reduce_basis)
 from latgauss.profiles import get_profile
+from latgauss.samplers import sample_z_batch
 from latgauss.stats import chi_squared_counts
 
 from conftest import make_rng, random_basis
@@ -38,6 +39,56 @@ def test_sample_z_matches_oracle_mass(z1):
     p0 = (draws == 0).mean()
     sigma = math.sqrt(expect * (1 - expect) / n)
     assert abs(p0 - expect) <= 3 * sigma
+
+
+# -- sample_z_batch ---------------------------------------------------------------
+
+def _sample_z_batch_grid(centers, s, rng, chunk_cells=1 << 24):
+    """Reference: the one-shot (rows, width) grid kernel that sample_z_batch
+    replaced.  Its output does not depend on chunk_cells either."""
+    centers = np.asarray(centers, dtype=np.float64)
+    m = centers.shape[0]
+    half = int(math.ceil(12.0 * s)) + 1
+    width = 2 * half + 1
+    out = np.empty(m, dtype=np.int64)
+    rows_per_chunk = max(1, chunk_cells // width)
+    offs = np.arange(-half, half + 1)
+    for start in range(0, m, rows_per_chunk):
+        c = centers[start:start + rows_per_chunk]
+        base = np.floor(c + 0.5).astype(np.int64)
+        grid = base[:, None] + offs[None, :]
+        dev = grid - c[:, None]
+        w = np.exp(-math.pi * dev * dev / (s * s))
+        cdf = np.cumsum(w, axis=1)
+        u = rng.random(len(c)) * cdf[:, -1]
+        idx = (cdf < u[:, None]).sum(axis=1)
+        out[start:start + rows_per_chunk] = grid[np.arange(len(c)), idx]
+    return out
+
+
+def _centers(kind, m, rng):
+    if kind == "half":
+        return rng.integers(-50, 51, size=m) + 0.5
+    if kind == "far":
+        return rng.choice([-1e6, 1e6], size=m) + rng.normal(size=m) * 4
+    if kind == "negative":
+        return -np.abs(rng.normal(size=m)) * 30 - 0.25
+    return rng.normal(size=m) * 3
+
+
+@pytest.mark.parametrize("s", [0.01, 0.3, 1.0, 7.9])
+@pytest.mark.parametrize("kind", ["normal", "half", "far", "negative"])
+def test_sample_z_batch_matches_grid_reference(s, kind):
+    width = 2 * (int(math.ceil(12.0 * s)) + 1) + 1
+    block = (1 << 16) // width
+    for m in (0, 1, block - 1, block + 1, 10 ** 5):
+        centers = _centers(kind, m, make_rng(m))
+        rng_new, rng_ref = make_rng(13), make_rng(13)
+        got = sample_z_batch(centers, s, rng_new)
+        # chunked only to bound the reference's memory
+        want = _sample_z_batch_grid(centers, s, rng_ref, chunk_cells=1 << 20)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (s, kind, m)
+        assert rng_new.random() == rng_ref.random(), (s, kind, m)
 
 
 # -- klein/gpv ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -61,6 +62,24 @@ def test_gof_matches_scipy():
     ours = chi_squared_gof(obs, probs, min_expected=0.0)
     ref = sps.chisquare(obs, probs * obs.sum())
     assert abs(ours.p_value - ref.pvalue) < 1e-10
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported on the first p-value, not by `import latgauss`
+    import latgauss
+    src = os.path.dirname(os.path.dirname(latgauss.__file__))
+    code = ("import sys, latgauss\n"
+            "print('scipy' in sys.modules)\n"
+            "from latgauss.stats import chi_squared_counts, chi_squared_gof\n"
+            "print(repr(chi_squared_gof([120, 80, 60, 40], [0.4, 0.27, 0.2, 0.13],"
+            " min_expected=0.0).p_value))\n"
+            "print(repr(chi_squared_counts([50, 30, 20], [40, 35, 25]).p_value))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    # p-values as computed when scipy was imported with the module
+    assert res.stdout.split() == ["False", "0.9980531952971372", "0.7263270966277449"]
 
 
 def test_two_sample_counts():
