@@ -30,10 +30,6 @@ def _emit(obj, out):
     out.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _load_basis(path: str) -> Basis:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -53,7 +49,7 @@ def _batch_records(batch, out):
     amb_rows = [batch.basis.ambient(tuple(int(x) for x in row)) for row in rows]
     for row, amb in zip(rows, amb_rows):
         _emit({"coeffs": [int(x) for x in row],
-               "ambient": [_frac_str(a) for a in amb]}, out)
+               "ambient": [str(a) for a in amb]}, out)
 
 
 def cmd_sample(args, out) -> int:
@@ -111,7 +107,7 @@ def cmd_svp(args, out) -> int:
         _emit({"status": "failed"}, out)
         return EXIT_UNDERDELIVERY
     _emit({"coeffs": list(res.point.coeffs),
-           "ambient": [_frac_str(a) for a in res.point.ambient],
+           "ambient": [str(a) for a in res.point.ambient],
            "norm": res.norm}, out)
     return EXIT_OK
 
@@ -145,7 +141,7 @@ def cmd_cvp(args, out) -> int:
         _emit({"status": "failed"}, out)
         return EXIT_UNDERDELIVERY
     _emit({"coeffs": list(res.point.coeffs),
-           "ambient": [_frac_str(a) for a in res.point.ambient],
+           "ambient": [str(a) for a in res.point.ambient],
            "distance": res.distance}, out)
     return EXIT_OK
 

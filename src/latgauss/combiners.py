@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import exactlin as xl
 from . import oracle
-from .lattices import Basis, CosetMap, Tower, make_tower, random_superlattice, \
-    reduce_basis, sublattice_transform, gram_schmidt
-from .profiles import Profile, get_profile
+from .lattices import Basis, CosetMap, Tower, int_inverse, make_tower, \
+    random_superlattice, reduce_basis, sublattice_transform, gram_schmidt, transform_index
+from .profiles import DESK_ELL_MAX, DESK_TOWER_ELL, SIZE_SAFETY, SMOOTH_SIZE_SAFETY, \
+    Profile, get_profile
 from .resamplers import ElementStream, ProbVector, square_sample, \
-    sqrt_sample, ratio_check, _occurrence_index
-from .samplers import PreconditionError, SampleBatch, start_gauss
+    sqrt_sample, ratio_check, desk_tau, _occurrence_index
+from .samplers import PreconditionError, SampleBatch, prefix_rank, start_gauss
 
 M_HARD_CAP = 300_000_000  # refuse harness sizes beyond this many base samples
 
@@ -33,8 +32,6 @@ M_HARD_CAP = 300_000_000  # refuse harness sizes beyond this many base samples
 class CombinerConfig:
     kappa: float = 20.0
     ell: int = 1
-    r: int = 2
-    a: int | None = None
     profile: str = "desk"
 
     def __post_init__(self):
@@ -69,13 +66,16 @@ def _empty_batch(basis: Basis, s: float, source: str, tv: float = 0.0,
                        claimed_tv_error=min(1.0, tv), degenerate=degenerate)
 
 
-def _label_pools(labels: np.ndarray, need: np.ndarray, n: int,
-                 base_index: int = 0) -> tuple[np.ndarray, np.ndarray] | None:
-    """First need[i] positions of each label value, scanning left to right.
+def _occurrence_positions(labels: np.ndarray, picks: np.ndarray, n: int,
+                          per: int = 1, base_index: int = 0) -> np.ndarray | None:
+    """Positions in labels of the occurrences per*occ(t), ..., per*occ(t)+per-1
+    of the label picks[t], where occ(t) counts the earlier picks of that label.
 
-    Returns (flat pool, per-label start offsets) or None if some label has
-    fewer than need[i] occurrences.  base_index shifts reported positions.
+    Returns a (len(picks), per) array shifted by base_index, or None if some
+    label occurs fewer times than picks needs.  labels is scanned left to
+    right in chunks, stopping once every label has its quota.
     """
+    need = per * np.bincount(picks, minlength=n)
     found: list[list[np.ndarray]] = [[] for _ in range(n)]
     have = np.zeros(n, dtype=np.int64)
     chunk = 1 << 22
@@ -92,10 +92,24 @@ def _label_pools(labels: np.ndarray, need: np.ndarray, n: int,
             break
     if (have < need).any():
         return None
-    starts = np.concatenate(([0], np.cumsum(need)[:-1]))
-    flat = np.concatenate([np.concatenate(f) if f else np.zeros(0, dtype=np.int64)
-                           for f in found]) if n else np.zeros(0, dtype=np.int64)
-    return flat + base_index, starts
+    flat = np.concatenate([p for f in found for p in f] or [np.zeros(0, dtype=np.int64)])
+    first = np.cumsum(need)[picks] - need[picks] + per * _occurrence_index(picks, n)
+    return flat[first[:, None] + np.arange(per)] + base_index
+
+
+def _same_coset_pair_sums(kappa: float, cmap: CosetMap, coeffs: np.ndarray,
+                          rng: np.random.Generator,
+                          prof: Profile) -> tuple[np.ndarray | None, str | None]:
+    """Sums of the same-coset pairs of rows that the square sampler selects
+    over the rows' coset labels: (sums, None), or (None, failed stage)."""
+    labels = cmap.label_ids(coeffs)
+    res = square_sample(kappa, ElementStream(labels, cmap.index), rng, prof)
+    if res.failed or len(res) == 0:
+        return None, "square"
+    pos = _occurrence_positions(labels, res.items, cmap.index, per=2)
+    if pos is None:  # cannot happen per the count-accounting guarantee
+        return None, "pairing"
+    return coeffs[pos[:, 0]] + coeffs[pos[:, 1]], None
 
 
 def combine_halve(lat: Basis, kappa: float, batch: SampleBatch,
@@ -108,32 +122,15 @@ def combine_halve(lat: Basis, kappa: float, batch: SampleBatch,
         raise PreconditionError("input batch is not expressed in the target lattice basis")
     if kappa < 2:
         raise PreconditionError("kappa must be >= 2")
-    s = batch.param
-    out_s = s / math.sqrt(2)
-    cmap = CosetMap(lat, lat.scale(2))
-    labels = cmap.label_ids(batch.coeffs)
-    res = square_sample(kappa, ElementStream(labels, cmap.index), rng, prof)
-    if res.failed:
+    out_s = batch.param / math.sqrt(2)
+    total, _ = _same_coset_pair_sums(kappa, CosetMap(lat, lat.scale(2)), batch.coeffs,
+                                     rng, prof)
+    if total is None:
         return _empty_batch(lat, out_s, "combiner", batch.claimed_tv_error)
-    out_labels = res.items
-    if len(out_labels) == 0:
-        return _empty_batch(lat, out_s, "combiner", batch.claimed_tv_error)
-    need = 2 * np.bincount(out_labels, minlength=cmap.index)
-    pools = _label_pools(labels, need, cmap.index)
-    if pools is None:  # cannot happen per the count-accounting guarantee
-        return _empty_batch(lat, out_s, "combiner", batch.claimed_tv_error)
-    flat, starts = pools
-    occ = _occurrence_index(out_labels, cmap.index)
-    ia = flat[starts[out_labels] + 2 * occ]
-    ib = flat[starts[out_labels] + 2 * occ + 1]
-    za = batch.coeffs[ia]
-    zb = batch.coeffs[ib]
-    total = za + zb
     if (total & 1).any():
         raise AssertionError("paired samples disagree mod 2L")
-    out = total >> 1
-    tv = batch.claimed_tv_error + len(out_labels) / math.factorial(int(kappa))
-    return SampleBatch(out, lat, out_s, "combiner", claimed_tv_error=min(1.0, tv))
+    tv = batch.claimed_tv_error + len(total) / math.factorial(int(kappa))
+    return SampleBatch(total >> 1, lat, out_s, "combiner", claimed_tv_error=min(1.0, tv))
 
 
 def general_pipeline(lat: Basis, cfg: CombinerConfig, batch: SampleBatch,
@@ -141,7 +138,7 @@ def general_pipeline(lat: Basis, cfg: CombinerConfig, batch: SampleBatch,
     """cfg.ell sequential halving steps; the paper profile enforces the
     conservative input size and trims the output to the square-root quota."""
     prof = get_profile(cfg.profile)
-    if prof.enforce_input_sizes:
+    if prof.paper_rules:
         needed = (32 * cfg.kappa) ** (cfg.ell + 1) * 2 ** lat.d
         if len(batch) < needed:
             raise PreconditionError(
@@ -151,7 +148,7 @@ def general_pipeline(lat: Basis, cfg: CombinerConfig, batch: SampleBatch,
         cur = combine_halve(lat, cfg.kappa, cur, rng, prof)
         if len(cur) == 0:
             return cur
-    if prof.pipeline_keep_quota:
+    if prof.paper_rules:
         quota = int(2 ** (lat.d / 2))
         if len(cur) < quota:
             return _empty_batch(lat, cur.param, "combiner", cur.claimed_tv_error)
@@ -197,38 +194,38 @@ def general_dgs(lat: Basis, s: float, kappa: float, rng: np.random.Generator,
     prof = get_profile(profile)
     if not (s > 0):
         raise PreconditionError("s must be positive")
-    if prof.enforce_input_sizes and kappa < lat.d:
+    if prof.paper_rules and kappa < lat.d:
         raise PreconditionError("this profile requires kappa >= rank")
     red = reduce_basis(lat, "lll")
     thr = prof.gpv_threshold(gram_schmidt(red).max_gs_norm, red.d)
-    if prof.enforce_input_sizes:
+    if prof.paper_rules:
         ell = 4 * math.ceil(math.log(max(kappa, 2)) + math.log(max(lat.d, 2)) ** 2)
     else:
-        ell = next((e for e in range(prof.ell_max + 1) if 2 ** (e / 2) * s >= thr),
-                   prof.ell_max)
+        ell = next((e for e in range(DESK_ELL_MAX + 1) if 2 ** (e / 2) * s >= thr),
+                   DESK_ELL_MAX)
     shat = 2 ** (ell / 2) * s
     # harness-chosen input size: invert the per-stage yield estimates
     yield_total = 1.0
     for i in range(ell):
         stage_s = shat / 2 ** (i / 2)
         yield_total *= _square_stage_yield(lat, lat.scale(2), stage_s, kappa)
-    m_in = int(math.ceil(m_target * prof.size_safety / yield_total))
-    if prof.enforce_input_sizes:
+    m_in = int(math.ceil(m_target * SIZE_SAFETY / yield_total))
+    if prof.paper_rules:
         m_in = int((32 * kappa) ** (ell + 2) * 2 ** lat.d)
     if m_in > M_HARD_CAP:
         raise PreconditionError(
             f"required input size {m_in:.3g} exceeds the practical cap; "
             "use the desk profile or a larger parameter")
+    # a proper seed prefix would put every sample on a sublattice of lat
+    k = prefix_rank(red, shat, prof)
+    if k < red.d:
+        return _empty_batch(lat, s, "combiner", degenerate=k == 0)
     sub, batch = start_gauss(lat, 2, m_in, shat, rng, prof)
-    if sub is None:
-        return _empty_batch(lat, s, "combiner", degenerate=True)
-    cfg = CombinerConfig(kappa=kappa, ell=ell, r=2, profile=prof.name)
-    out = general_pipeline(sub, cfg, batch, rng)
+    out = general_pipeline(sub, CombinerConfig(kappa=kappa, ell=ell, profile=prof.name),
+                           batch, rng)
     if len(out) == 0:
         return _empty_batch(lat, s, "combiner", out.claimed_tv_error)
-    # express the points in the requested basis; when start_gauss returned a
-    # proper sublattice its points stand in for the full lattice (the mass
-    # outside it is negligible at this parameter)
+    # express the points in the requested basis
     t = np.array([lat.coeffs_of(row) for row in sub.rows], dtype=np.int64)
     return SampleBatch(out.coeffs @ t, lat, out.param, out.source,
                        out.claimed_tv_error)
@@ -236,19 +233,6 @@ def general_dgs(lat: Basis, s: float, kappa: float, rng: np.random.Generator,
 
 # ---------------------------------------------------------------------------
 # square-root side
-
-def _int_inverse_matrix(t: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, int]:
-    """T^{-1} as (integer matrix, denominator)."""
-    frac = xl.inverse(tuple(tuple(Fraction(x) for x in row) for row in t))
-    if frac is None:
-        raise PreconditionError("singular sublattice transform")
-    den = 1
-    for row in frac:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    mat = np.array([[int(x * den) for x in row] for row in frac], dtype=np.int64)
-    return mat, den
-
 
 def sqrt_combine(lat: Basis, sub: Basis, kappa: float, batch: SampleBatch,
                  rng: np.random.Generator,
@@ -264,7 +248,7 @@ def sqrt_combine(lat: Basis, sub: Basis, kappa: float, batch: SampleBatch,
     out_s = s * math.sqrt(2)
     n_amb = lat.d
     t_mat = sublattice_transform(lat, sub)  # sub = t @ lat
-    idx = int(abs(xl.det(tuple(tuple(Fraction(x) for x in r) for r in t_mat))))
+    idx = transform_index(t_mat)
     a = idx.bit_length() - 1
     if 2 ** a != idx:
         raise PreconditionError("sublattice index is not a power of two")
@@ -278,23 +262,11 @@ def sqrt_combine(lat: Basis, sub: Basis, kappa: float, batch: SampleBatch,
                            requested_m=req, produced_m=0, below_smoothing_flag=True)
 
     m_in = len(batch)
-    cmap1 = CosetMap(lat, sub)
-    labels = cmap1.label_ids(batch.coeffs)
-    res = square_sample(kappa, ElementStream(labels, cmap1.index), rng, prof)
-    if res.failed or len(res) == 0:
-        return fail("square")
-    out_labels = res.items
-    need = 2 * np.bincount(out_labels, minlength=cmap1.index)
-    pools = _label_pools(labels, need, cmap1.index)
-    if pools is None:
-        return fail("pairing")
-    flat, starts = pools
-    occ = _occurrence_index(out_labels, cmap1.index)
-    ia = flat[starts[out_labels] + 2 * occ]
-    ib = flat[starts[out_labels] + 2 * occ + 1]
-    zsum = batch.coeffs[ia] + batch.coeffs[ib]
-    tinv, den = _int_inverse_matrix(t_mat)
-    w_num = zsum @ tinv
+    zsum, stage = _same_coset_pair_sums(kappa, CosetMap(lat, sub), batch.coeffs, rng, prof)
+    if zsum is None:
+        return fail(stage)
+    tinv, den = int_inverse(t_mat)
+    w_num = zsum @ np.array(tinv, dtype=np.int64)
     if (w_num % den).any():
         raise AssertionError("summed pair left the sublattice")
     ys = w_num // den  # coefficients w.r.t. sub
@@ -314,9 +286,8 @@ def sqrt_combine(lat: Basis, sub: Basis, kappa: float, batch: SampleBatch,
     if res2.failed or len(res2) == 0:
         return fail("sqrt")
     emitted = res2.items
-    if prof.sqrt_quota_paper:
-        c_sqrt = 1024 * math.sqrt(prof.t_smooth) * prof.t_ratio ** 1.5
-        target = int(m_in / (c_sqrt * kappa ** 4))
+    if prof.paper_rules:
+        target = int(m_in / (prof.c_sqrt * kappa ** 4))
         if len(emitted) < target or target == 0:
             return fail("quota")
         emitted = emitted[:target]
@@ -324,16 +295,11 @@ def sqrt_combine(lat: Basis, sub: Basis, kappa: float, batch: SampleBatch,
         if len(emitted) < quota:
             return fail("quota")
         emitted = emitted[:quota]
-    need2 = np.bincount(emitted, minlength=cmap2.index)
-    pools2 = _label_pools(dlabels[half:], need2, cmap2.index, base_index=half)
-    if pools2 is None:
+    pick = _occurrence_positions(dlabels[half:], emitted, cmap2.index, base_index=half)
+    if pick is None:
         return fail("matching")
-    flat2, starts2 = pools2
-    occ2 = _occurrence_index(emitted, cmap2.index)
-    pick = flat2[starts2[emitted] + occ2]
-    out_coeffs = ys[pick]
-    tv = batch.claimed_tv_error + len(out_labels) / math.factorial(int(kappa))
-    out_batch = SampleBatch(out_coeffs, sub, out_s, "smooth",
+    tv = batch.claimed_tv_error + q / math.factorial(int(kappa))
+    out_batch = SampleBatch(ys[pick[:, 0]], sub, out_s, "smooth",
                             claimed_tv_error=min(1.0, tv))
     produced = len(out_batch)
     req = quota if quota is not None else produced
@@ -346,9 +312,8 @@ def tower_pipeline(tower: Tower, kappa: float, batch: SampleBatch,
                    quota: int | None = None) -> HonestBatch:
     """Climb the tower with one sqrt_combine per level."""
     prof = get_profile(profile)
-    if prof.enforce_input_sizes:
-        c_sqrt = 1024 * math.sqrt(prof.t_smooth) * prof.t_ratio ** 1.5
-        needed = (c_sqrt * kappa ** 4) ** (tower.ell + 1) * 2 ** tower.a
+    if prof.paper_rules:
+        needed = (prof.c_sqrt * kappa ** 4) ** (tower.ell + 1) * 2 ** tower.a
         if len(batch) < needed:
             raise PreconditionError(
                 f"tower pipeline requires {needed:.3g} input samples, got {len(batch)}")
@@ -382,8 +347,7 @@ def _sqrt_chain_yield(l0: Basis, l1: Basis, two_l0: Basis, shat: float,
         n2 = len(probs2)
         p2hat = _worst_pmax_hat(pv2)
         ratio = pv2.p_max / max(pv2.p_min, 1e-30)
-        from .resamplers import desk_tau
-        tau = desk_tau(kappa, n2, p2hat, ratio, prof.t_ratio, prof)
+        tau = desk_tau(kappa, n2, p2hat, ratio, prof.t_ratio)
         accept = np.sqrt(np.maximum(pv2.probs, 0) / (kappa * p2hat)).sum()
         # q' elements -> J = q' p2hat / 3 windows -> J // tau blocks per element
         emit_per_qprime = (p2hat / (3 * tau)) * accept
@@ -402,7 +366,7 @@ def smooth_dgs(lat: Basis, s: float, m: int, kappa: float,
         raise PreconditionError("s must be positive")
     if m < 0:
         raise PreconditionError("m must be >= 0")
-    if prof.enforce_input_sizes and kappa < lat.d:
+    if prof.paper_rules and kappa < lat.d:
         raise PreconditionError("this profile requires kappa >= rank")
     n = lat.d
     if lat.n != n:
@@ -411,15 +375,15 @@ def smooth_dgs(lat: Basis, s: float, m: int, kappa: float,
                         produced_m=0, below_smoothing_flag=True)
     if m == 0:
         return empty
-    if prof.enforce_input_sizes:
+    if prof.paper_rules:
         a = min(max(int(math.ceil(n / 2 + n / max(math.log(n), 1.0))), (n + 1) // 2), n - 1)
         ell = max(1, int(math.ceil(math.log(max(n, 2)) ** 4)))
     else:
         a = min((n + 1) // 2 + 1, n - 1)
-        ell = prof.tower_ell
+        ell = DESK_TOWER_ELL
     if a < 1:
         raise PreconditionError("lattice rank too small for a tower")
-    attempts = max(1, int(kappa)) if prof.smooth_retries_kappa else 1
+    attempts = max(1, int(kappa))
     m_base: int | None = None
     for attempt in range(attempts):
         lprev = random_superlattice(lat, a, rng)
@@ -437,10 +401,9 @@ def smooth_dgs(lat: Basis, s: float, m: int, kappa: float,
                 yield_total *= _sqrt_chain_yield(tower.levels[i], tower.levels[i + 1],
                                                  tower.levels[i].scale(2), stage_s,
                                                  kappa, prof)
-            m_base = int(math.ceil(m * prof.smooth_size_safety / max(yield_total, 1e-12)))
-        if prof.enforce_input_sizes:
-            c_sqrt = 1024 * math.sqrt(prof.t_smooth) * prof.t_ratio ** 1.5
-            m_base = int((c_sqrt * kappa ** 4) ** (ell + 1) * 2 ** a)
+            m_base = int(math.ceil(m * SMOOTH_SIZE_SAFETY / max(yield_total, 1e-12)))
+        if prof.paper_rules:
+            m_base = int((prof.c_sqrt * kappa ** 4) ** (ell + 1) * 2 ** a)
         if m_base > M_HARD_CAP:
             return empty  # cannot honestly deliver at feasible size
         sub, base = start_gauss(tower.levels[0], 2, m_base, shat, rng, prof)

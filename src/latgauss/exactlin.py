@@ -22,10 +22,6 @@ def to_fraction_mat(rows: Sequence[Sequence]) -> Mat:
     return tuple(to_fraction_vec(r) for r in rows)
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -46,14 +42,6 @@ def norm_sq(a: Vec) -> Fraction:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = tuple(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in a)
-
-
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
 
 
 def identity(n: int) -> Mat:

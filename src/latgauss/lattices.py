@@ -29,10 +29,6 @@ class BasisParseError(LatticeError):
         self.line = line
 
 
-def _freeze(rows: Sequence[Sequence]) -> xl.Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 class Basis:
     """Ordered list of linearly independent rational row vectors.
 
@@ -42,7 +38,7 @@ class Basis:
     __slots__ = ("rows", "n", "d", "_float", "_gram", "_gso", "_key", "_orth")
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.rows = _freeze(rows)
+        self.rows = xl.to_fraction_mat(rows)
         if not self.rows:
             raise LatticeError("empty basis")
         self.d = len(self.rows)
@@ -100,10 +96,6 @@ class Basis:
             if z:
                 out = [o + z * x for o, x in zip(out, row)]
         return tuple(out)
-
-    def det_gram_sqrt_sq(self) -> Fraction:
-        """det(G) = squared covolume of the lattice."""
-        return xl.det(self.gram)
 
     def coeffs_of(self, vec: Sequence) -> tuple[int, ...] | None:
         """Integer coefficients expressing vec in this basis, or None."""
@@ -323,21 +315,19 @@ def _unimodular_with_first_row(z: tuple[int, ...]) -> list[list[int]]:
         raise LatticeError("coefficient vector is not primitive")
     if p != 0:
         u[0], u[p] = u[p], u[0]
-    uinv = _int_inverse(u)
+    uinv, den = int_inverse(u)
+    if den != 1:
+        raise LatticeError("completion is not unimodular")
     return [list(r) for r in zip(*uinv)]
 
 
-def _int_inverse(u: list[list[int]]) -> list[list[int]]:
-    frac = xl.inverse(tuple(tuple(Fraction(x) for x in row) for row in u))
-    assert frac is not None
-    out = []
-    for row in frac:
-        r = []
-        for x in row:
-            assert x.denominator == 1
-            r.append(int(x))
-        out.append(r)
-    return out
+def int_inverse(t: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """T^{-1} of a nonsingular integer matrix as (integer matrix, denominator)."""
+    frac = xl.inverse(xl.to_fraction_mat(t))
+    if frac is None:
+        raise LatticeError("singular integer matrix")
+    den = math.lcm(*(x.denominator for row in frac for x in row))
+    return [[int(x * den) for x in row] for row in frac], den
 
 
 def reduce_basis(basis: Basis, profile: str = "lll") -> Basis:
@@ -385,6 +375,11 @@ def sublattice_transform(lat: Basis, sub: Basis) -> tuple[tuple[int, ...], ...]:
             raise LatticeError("not a sublattice: vector outside the lattice")
         t.append(coeffs)
     return tuple(t)
+
+
+def transform_index(t: Sequence[Sequence[int]]) -> int:
+    """|det T|: the index of the sublattice T @ lat in lat."""
+    return int(abs(xl.det(xl.to_fraction_mat(t))))
 
 
 class CosetMap:
@@ -482,8 +477,7 @@ class Tower:
     def validate(self):
         n = self.levels[0].n
         for i in range(1, len(self.levels)):
-            t = sublattice_transform(self.levels[i - 1], self.levels[i])
-            idx = abs(xl.det(tuple(tuple(Fraction(x) for x in r) for r in t)))
+            idx = transform_index(sublattice_transform(self.levels[i - 1], self.levels[i]))
             if idx != 2 ** self.a:
                 raise LatticeError(f"tower index at level {i} is {idx}, wanted 2^{self.a}")
             # 2 L_{i-1} subseteq L_i
@@ -507,21 +501,22 @@ def make_tower(lat: Basis, lprev: Basis, a: int, ell: int) -> Tower:
         raise LatticeError("ell must be >= 1")
     # verify lat subseteq lprev subseteq lat/2 with index 2^a
     t = sublattice_transform(lprev, lat)
-    idx = abs(xl.det(tuple(tuple(Fraction(x) for x in r) for r in t)))
+    idx = transform_index(t)
     if idx != 2 ** a:
         raise LatticeError(f"index of L in Lprev is {idx}, wanted 2^{a}")
     sublattice_transform(lat.scale(Fraction(1, 2)), lprev)  # lprev subseteq L/2
 
     # adapted basis: lat = B'' with b''_i = d_i * b'_i, d_i in {1, 2},
     # where B' spans lprev.  Via Smith normal form of t (lat = t @ lprev).
-    u, dmat, v = xl.snf([[int(x) for x in row] for row in t])
+    _, dmat, v = xl.snf([[int(x) for x in row] for row in t])
     dvals = [int(dmat[i][i]) for i in range(n)]
     if sorted(set(dvals)) not in ([1, 2], [1], [2]):
         raise LatticeError("lprev is not sandwiched between L and L/2")
     # lat = (u^-1 d v^-1... ) careful: u t v = d  =>  t = u^-1 d v^-1
     # lat_rows = t @ lprev_rows = u^-1 @ d @ (v^-1 @ lprev_rows)
-    uinv = _int_inverse([list(r) for r in u])
-    vinv = _int_inverse([list(r) for r in v])
+    vinv, den = int_inverse(v)
+    if den != 1:
+        raise LatticeError("Smith normal form transform is not unimodular")
     bprime = Basis([
         [sum(Fraction(vinv[i][j]) * lprev.rows[j][k] for j in range(n)) for k in range(n)]
         for i in range(n)
@@ -585,9 +580,7 @@ def random_superlattice(lat: Basis, a: int, rng: np.random.Generator) -> Basis:
     dsub = Basis(dsub_rows)
     sup = dual_basis(dsub)
     # sanity: index and sandwich
-    t = sublattice_transform(sup, lat)
-    idx = abs(xl.det(tuple(tuple(Fraction(x) for x in r) for r in t)))
-    if idx != 2 ** a:
+    if transform_index(sublattice_transform(sup, lat)) != 2 ** a:
         raise LatticeError("random superlattice has wrong index")
     sublattice_transform(lat.scale(Fraction(1, 2)), sup)
     return sup

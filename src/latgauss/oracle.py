@@ -15,7 +15,8 @@ import numpy as np
 
 from . import exactlin as xl
 from ._enum import enumerate_coeffs
-from .lattices import Basis, CosetMap, LatticePoint, dual_basis, reduce_basis
+from .lattices import (Basis, CosetMap, LatticePoint, dual_basis, gram_schmidt,
+                       reduce_basis, sublattice_transform)
 from .samplers import SampleBatch
 
 ENUM_RANK_LIMIT = 12
@@ -203,7 +204,6 @@ def lambda1(basis: Basis) -> tuple[float, LatticePoint]:
     coefficient is positive."""
     _check_rank(basis, ENUM_RANK_LIMIT, "shortest vector")
     red = reduce_basis(basis, "lll")
-    from .lattices import sublattice_transform
     u = sublattice_transform(basis, red)  # red = u @ basis
     r0 = xl.norm_sq(red.rows[0])
     zs = enumerate_coeffs(red.rows, None, r0)
@@ -230,7 +230,6 @@ def cvp_exact(basis: Basis, target) -> LatticePoint:
     _check_rank(basis, CVP_RANK_LIMIT, "exact CVP")
     t = tuple(Fraction(x) for x in target)
     red = reduce_basis(basis, "lll")
-    from .lattices import sublattice_transform
     u = sublattice_transform(basis, red)
     # Babai nearest plane for an initial radius
     z0 = babai_nearest_plane(red, t)
@@ -251,7 +250,6 @@ def cvp_exact(basis: Basis, target) -> LatticePoint:
 
 def babai_nearest_plane(basis: Basis, target) -> tuple[int, ...]:
     """Exact-rational nearest-plane coefficients for the target."""
-    from .lattices import gram_schmidt
     gs = gram_schmidt(basis)
     t = list(Fraction(x) for x in target)
     d = basis.d

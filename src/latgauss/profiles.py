@@ -16,60 +16,52 @@ import os
 from dataclasses import dataclass
 
 
+# Values shared by both profiles, or read only where the paper rules are off.
+TAU_Z = 12.0              # 1-D sampler window [c - TAU_Z s, c + TAU_Z s], mass < 2^-180
+SQRT_TAU_MULT = 2.0       # adaptive tau = ceil(mult*kappa*N*pmax_hat*ratio_hat)
+DESK_TOWER_ELL = 1        # desk tower height
+DESK_ELL_MAX = 2          # desk cap on halving steps in the general sampler
+SIZE_SAFETY = 1.35        # halving-pipeline sizing headroom
+SMOOTH_SIZE_SAFETY = 1.55  # tower sizing headroom
+
+
 @dataclass(frozen=True)
 class Profile:
     name: str
-    # base samplers ---------------------------------------------------------
-    c_gpv: float          # randomized nearest-plane needs s >= maxgs*sqrt(c_gpv*ln(max(d,2)))
-    c_prefix: float       # start-gauss prefix keeps gs norms <= s/sqrt(c_prefix*ln(max(d,2)))
-    tau_z: float = 12.0   # 1-D integer sampler tail cut, mass < 2^-180
-    # square sampler / combiner ---------------------------------------------
-    kappa_default: float = 20.0
-    enforce_input_sizes: bool = False   # paper-profile M preconditions
-    pipeline_keep_quota: bool = False   # emit only first 2^{n/2} outputs
-    # square-root side -------------------------------------------------------
-    t_smooth: float = 2.0               # sqrt-combine size-test t
-    t_ratio: float = 8.0                # sqrt-combine ratio-check t' (= 4t)
-    sqrt_tau_paper_rule: bool = False   # tau = ceil(kappa^2 t); else adaptive
-    sqrt_tau_mult: float = 2.0          # adaptive: tau = ceil(mult*kappa*N*pmax_hat*ratio_hat)
-    sqrt_loop_paper_bound: bool = False  # final loop capped at M/(5 tau); else supply-bound
-    sqrt_quota_paper: bool = False      # quota M/(16 k^3 t^{3/2}); else realized emission
-    # towers / smooth sampler -------------------------------------------------
-    tower_ell: int = 1                  # desk tower height
-    smooth_retries_kappa: bool = True   # repeat up to kappa attempts
-    # general sampler ----------------------------------------------------------
-    ell_max: int = 2                    # desk cap on halving steps
-    size_safety: float = 1.35           # harness M sizing headroom
-    smooth_size_safety: float = 1.55
+    # randomized nearest-plane needs s >= maxgs*sqrt(c_gpv*ln(max(d,2))); the
+    # start-gauss prefix keeps gs norms <= s/sqrt(c_gpv*ln(max(d,2))), so a
+    # qualifying prefix always meets the sampler precondition
+    c_gpv: float
+    t_smooth: float       # sqrt-combine size-test t
+    t_ratio: float        # sqrt-combine ratio-check t' (= 4t)
+    # the paper's rules: input-size preconditions, its tower and halving-step
+    # counts, the 2^{n/2} output quota of the halving pipeline, tau =
+    # ceil(kappa^2 t'), the final sqrt loop capped at M/(5 tau), and the
+    # square-root output quotas; otherwise harness-sized inputs, the desk
+    # counts, adaptive tau, a supply-bound loop and the realized emission
+    paper_rules: bool = False
+
+    @property
+    def c_sqrt(self) -> float:
+        """Sum-combiner quota divisor: its quota is M/(c_sqrt kappa^4)."""
+        return 1024 * math.sqrt(self.t_smooth) * self.t_ratio ** 1.5
 
     def gpv_threshold(self, max_gs_norm: float, d: int) -> float:
         return max_gs_norm * math.sqrt(self.c_gpv * math.log(max(d, 2)))
 
     def prefix_threshold(self, s: float, d: int) -> float:
-        return s / math.sqrt(self.c_prefix * math.log(max(d, 2)))
+        return s / math.sqrt(self.c_gpv * math.log(max(d, 2)))
 
 
 PAPER = Profile(
     name="paper",
     c_gpv=4.0,
-    c_prefix=4.0,
-    kappa_default=20.0,
-    enforce_input_sizes=True,
-    pipeline_keep_quota=True,
     t_smooth=49.0,   # (1+eps)^2/(1-eps)^2 at eps = 3/4
     t_ratio=196.0,
-    sqrt_tau_paper_rule=True,
-    sqrt_loop_paper_bound=True,
-    sqrt_quota_paper=True,
-    tower_ell=1,
+    paper_rules=True,
 )
 
-DESK = Profile(
-    name="desk",
-    c_gpv=3.5,
-    c_prefix=3.5,
-    kappa_default=20.0,
-)
+DESK = Profile(name="desk", c_gpv=3.5, t_smooth=2.0, t_ratio=8.0)
 
 PROFILES = {"paper": PAPER, "desk": DESK}
 
@@ -93,8 +85,6 @@ class RunConfig:
     seed: int = 0
     profile: str = "desk"
     chi2_alpha: float = 0.01
-    identity_tol: float = 1e-9
-    max_oracle_rank: int = 12
     dims: tuple[int, int] | None = None  # rank range for randomized checks
 
     def resolved_profile(self) -> Profile:

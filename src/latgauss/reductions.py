@@ -152,39 +152,6 @@ class CovarianceStat:
     s: float
 
 
-def _jacobi_spectral_norm(mat: np.ndarray, tol: float = 1e-10) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix by cyclic Jacobi."""
-    a = np.array(mat, dtype=np.float64)
-    n = a.shape[0]
-    if n == 1:
-        return abs(float(a[0, 0]))
-    if n > 16:
-        raise ValueError("Jacobi solver limited to dimension <= 16")
-    scale = max(np.abs(a).max(), 1e-300)
-    for _ in range(100):
-        off = math.sqrt(max(0.0, (a * a).sum() - (np.diag(a) ** 2).sum()))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2 * a[p, q])
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1))
-                c = 1 / math.sqrt(t * t + 1)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    return float(np.abs(np.diag(a)).max())
-
-
 def covariance_statistic(batch: SampleBatch) -> CovarianceStat:
     """Spectral distance between the scaled sample second moment and the
     isotropic target 1/(2 pi) I."""
@@ -195,7 +162,7 @@ def covariance_statistic(batch: SampleBatch) -> CovarianceStat:
     sigma = (amb.T @ amb) / m
     s = batch.param
     mat = np.eye(n) / (2 * math.pi) - sigma / (s * s)
-    return CovarianceStat(sigma, _jacobi_spectral_norm(mat), m, s)
+    return CovarianceStat(sigma, float(np.abs(np.linalg.eigvalsh(mat)).max()), m, s)
 
 
 def decide_gapsvp(basis: Basis, d: float, eps: float, provider: DgsProvider,
@@ -254,7 +221,7 @@ def approx_cvp(basis: Basis, target, provider: DgsProvider,
     ratio = Fraction(n, n + 1)  # 1/(1+delta) with delta = 1/n
     # rationalize the distance estimate once so every embedding is exact
     s_rat = Fraction(math.sqrt(float(d_tilde))).limit_denominator(10 ** 9)
-    if not prof.enforce_input_sizes:
+    if not prof.paper_rules:
         # at small rank the productive width alpha*d/sqrt(n) sits above the
         # distance estimate, so lift the top of the descending grid to it
         lift = max(1.0, (1 + 1 / n) * constants.cvp_alpha / math.sqrt(n))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import Profile, get_profile
+from .profiles import SQRT_TAU_MULT, Profile, get_profile
 
 
 class StreamExhausted(RuntimeError):
@@ -319,12 +319,12 @@ def _block_sqrt_coins(ones_j: np.ndarray, n_blocks: int, tau: int,
 
 
 def desk_tau(kappa: float, n_alphabet: int, pmax_hat: float, ratio_hat: float,
-             t_bound: float, prof: Profile) -> int:
+             t_bound: float) -> int:
     """Block length for the square-root stage under the desk profile: long
     enough that the geometric coin sees its series, scaled by the observed
     skew; capped by the conservative profile value."""
     cap = int(math.ceil(kappa * kappa * t_bound))
-    tau = int(math.ceil(prof.sqrt_tau_mult * kappa * n_alphabet * pmax_hat
+    tau = int(math.ceil(SQRT_TAU_MULT * kappa * n_alphabet * pmax_hat
                         * max(1.0, ratio_hat)))
     return max(1, min(tau, cap))
 
@@ -356,7 +356,7 @@ def sqrt_sample(kappa: float, t: float, stream: ElementStream,
         return _empty_result(n, "estimate")
     if pmax_hat > 4.0 * t / n:
         return _empty_result(n, "pmax-bound", pmax_hat)
-    if not prof.sqrt_tau_paper_rule and est.remaining():
+    if not prof.paper_rules and est.remaining():
         # sharpen the skew estimate on leftover estimation-half elements
         extra = est.take(min(4000, est.remaining()))
         diag.append(np.bincount(extra, minlength=n))
@@ -366,12 +366,12 @@ def sqrt_sample(kappa: float, t: float, stream: ElementStream,
     except StreamExhausted:
         return _empty_result(n, "windows", pmax_hat)
 
-    if prof.sqrt_tau_paper_rule:
+    if prof.paper_rules:
         tau = int(math.ceil(kappa * kappa * t))
     else:
         counts = diag[-1] if diag else np.ones(n)
         ratio_hat = float((counts.max() + 1.0) / (counts.min() + 1.0))
-        tau = desk_tau(kappa, n, pmax_hat, ratio_hat, t, prof)
+        tau = desk_tau(kappa, n, pmax_hat, ratio_hat, t)
     n_blocks = n_windows // tau
     if n_blocks == 0:
         return _empty_result(n, "blocks", pmax_hat)
@@ -382,13 +382,11 @@ def sqrt_sample(kappa: float, t: float, stream: ElementStream,
         ones_i = ones[ones % n == i] // n
         bstar.append(_block_sqrt_coins(ones_i, n_blocks, tau, rng))
 
-    if prof.sqrt_quota_paper:
+    quota = None
+    if prof.paper_rules:
         quota = int(m_in / (16 * kappa ** 3 * t ** 1.5))
         if quota == 0:
             return _empty_result(n, "quota", pmax_hat)
-    else:
-        quota = None
-    if prof.sqrt_loop_paper_bound:
         max_iter = int(m_in / (5 * tau))
     else:
         max_iter = n * n_blocks  # supply bound: every coin consumed once
@@ -405,7 +403,7 @@ def sqrt_sample(kappa: float, t: float, stream: ElementStream,
             it += 1
             i = int(i)
             if ptr[i] >= n_blocks:
-                if prof.sqrt_loop_paper_bound:
+                if prof.paper_rules:
                     return _empty_result(n, "bstar-exhausted", pmax_hat)
                 stopped = True
                 break

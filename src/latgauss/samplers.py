@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattices import Basis, LatticePoint, gram_schmidt, reduce_basis
-from .profiles import Profile, get_profile
+from .profiles import TAU_Z, Profile, get_profile
 
-Z_TAIL_MASS = 2.0 ** -180  # per-draw truncation mass at tau = 12
+Z_TAIL_MASS = 2.0 ** -180  # per-draw truncation mass at TAU_Z = 12
 
 
 class PreconditionError(ValueError):
@@ -77,8 +77,8 @@ def sample_z(center: float, s: float, rng: np.random.Generator) -> int:
     """One draw from the discrete Gaussian on Z with the given center."""
     if not (s > 0):
         raise PreconditionError("s must be positive")
-    lo = math.ceil(center - 12.0 * s)
-    hi = math.floor(center + 12.0 * s)
+    lo = math.ceil(center - TAU_Z * s)
+    hi = math.floor(center + TAU_Z * s)
     if lo > hi:
         return math.floor(center + 0.5)
     ks = np.arange(lo, hi + 1)
@@ -103,7 +103,7 @@ def sample_z_batch(centers: np.ndarray, s: float, rng: np.random.Generator,
     """
     centers = np.asarray(centers, dtype=np.float64)
     m = centers.shape[0]
-    half = int(math.ceil(12.0 * s)) + 1
+    half = int(math.ceil(TAU_Z * s)) + 1
     width = 2 * half + 1
     out = np.empty(m, dtype=np.int64)
     block = max(1, min(m, chunk_cells // width))
@@ -139,7 +139,7 @@ def sample_z_batch(centers: np.ndarray, s: float, rng: np.random.Generator,
 
 def _shared_cdf_draws(widths_s: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draws from D_{Z, s} centered at 0 via one shared CDF."""
-    half = int(math.ceil(12.0 * widths_s)) + 1
+    half = int(math.ceil(TAU_Z * widths_s)) + 1
     ks = np.arange(-half, half + 1)
     w = np.exp(-math.pi * ks.astype(np.float64) ** 2 / (widths_s * widths_s))
     cdf = np.cumsum(w)
@@ -179,7 +179,7 @@ def _orthogonal_joint_draws(gs_norms: np.ndarray, s: float, count: int,
     One index plus one uniform per sample; None when the product table would
     be too large.
     """
-    halves = [int(math.ceil(12.0 * s / g)) + 1 for g in gs_norms]
+    halves = [int(math.ceil(TAU_Z * s / g)) + 1 for g in gs_norms]
     widths = [2 * h + 1 for h in halves]
     total = 1
     for w in widths:
@@ -204,12 +204,6 @@ def _orthogonal_joint_draws(gs_norms: np.ndarray, s: float, count: int,
     u = rng.random(count)
     idx = np.where(u < prob[idx], idx, alias[idx])
     return table[idx]
-
-
-def gpv_precondition_ok(basis: Basis, s: float, profile: "str | Profile" = None) -> bool:
-    prof = get_profile(profile)
-    gs = gram_schmidt(basis)
-    return s >= prof.gpv_threshold(gs.max_gs_norm, basis.d) * (1 - 1e-12)
 
 
 def klein_gpv_sample(basis: Basis, s: float, rng: np.random.Generator,
@@ -249,6 +243,13 @@ def klein_gpv_batch(basis: Basis, s: float, count: int, rng: np.random.Generator
     return SampleBatch(zs, basis, s, "gpv", claimed_tv_error=tv)
 
 
+def prefix_rank(red: Basis, s: float, prof: Profile) -> int:
+    """Length of the longest prefix of red whose Gram-Schmidt norms pass the
+    seed sampler's test at width s."""
+    thr = prof.prefix_threshold(s, red.d) * (1 + 1e-12)
+    return next((i for i, g in enumerate(gram_schmidt(red).gs_norms) if g > thr), red.d)
+
+
 def start_gauss(basis: Basis, r: int, m: int, s: float, rng: np.random.Generator,
                 profile: "str | Profile" = None) -> tuple[Basis | None, SampleBatch]:
     """Reduce, pick the maximal prefix with small GS norms, and sample from
@@ -264,14 +265,7 @@ def start_gauss(basis: Basis, r: int, m: int, s: float, rng: np.random.Generator
     if not (s > 0):
         raise PreconditionError("s must be positive")
     red = reduce_basis(basis, "lll")
-    gs = gram_schmidt(red)
-    thr = prof.prefix_threshold(s, red.d)
-    k = 0
-    for i in range(red.d):
-        if gs.gs_norms[i] <= thr * (1 + 1e-12):
-            k += 1
-        else:
-            break
+    k = prefix_rank(red, s, prof)
     if k == 0:
         batch = SampleBatch(np.zeros((m, red.d), dtype=np.int64), red, s, "gpv",
                             degenerate=True)

@@ -85,23 +85,3 @@ def chi_squared_counts(counts_a, counts_b, min_expected: float = 5.0) -> Chi2Res
     p = float(gammaincc(dof / 2.0, stat / 2.0))
     return Chi2Result(p, stat, dof)
 
-
-def norm_shell_probs(batch_like_probs: np.ndarray, norms_sq: np.ndarray,
-                     max_shells: int = 12):
-    """Group support probabilities by squared norm (rounded) into shells."""
-    keys = np.round(norms_sq, 9)
-    uniq = np.unique(keys)
-    if len(uniq) > max_shells:
-        edges = np.quantile(keys, np.linspace(0, 1, max_shells + 1)[1:-1])
-        idx = np.searchsorted(edges, keys)
-        uniq = np.unique(idx)
-        out = np.array([batch_like_probs[idx == u].sum() for u in uniq])
-        return out, lambda k: np.searchsorted(edges, np.round(k, 9))
-    out = np.array([batch_like_probs[keys == u].sum() for u in uniq])
-
-    def classify(k):
-        kk = np.round(k, 9)
-        pos = np.searchsorted(uniq, kk)
-        pos = np.clip(pos, 0, len(uniq) - 1)
-        return pos
-    return out, classify

@@ -14,13 +14,13 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats as sps
 
 from . import exactlin as xl
 from . import oracle
 from .combiners import smooth_dgs
 from .lattices import (Basis, CosetMap, make_tower, random_superlattice,
-                       reduce_basis, dual_basis, sublattice_transform, gram_schmidt)
+                       reduce_basis, dual_basis, sublattice_transform, gram_schmidt,
+                       transform_index)
 from .profiles import RunConfig, derive_rng, get_profile
 from .reductions import (CONSTANTS, approx_cvp, covariance_statistic,
                          exact_provider, optimal_svp_param, solve_svp)
@@ -71,9 +71,7 @@ def check_unimodularity(cfg: RunConfig, trials: int = 20):
         b = random_basis(rng, d, span=6)
         for profile in ("lll", "exact"):
             red = reduce_basis(b, profile)
-            t = sublattice_transform(b, red)
-            det = xl.det(tuple(tuple(Fraction(x) for x in r) for r in t))
-            if abs(det) != 1:
+            if transform_index(sublattice_transform(b, red)) != 1:
                 worst += 1
     return [_record("lattice/unimodular-reduction", worst == 0, worst, 0, cfg.seed)]
 
@@ -87,9 +85,7 @@ def check_duality_involution(cfg: RunConfig, trials: int = 20):
         b = random_basis(rng, d, span=6)
         dd = dual_basis(dual_basis(b))
         try:
-            t = sublattice_transform(b, dd)
-            det = xl.det(tuple(tuple(Fraction(x) for x in r) for r in t))
-            if abs(det) != 1:
+            if transform_index(sublattice_transform(b, dd)) != 1:
                 bad += 1
         except Exception:
             bad += 1
@@ -313,6 +309,7 @@ def _support_counts(batch: SampleBatch, cmax: int = 6):
 
 
 def check_klein_exactness(cfg: RunConfig, draws: int = 100_000):
+    from scipy import stats as sps  # at module level it would slow every CLI call
     rng = derive_rng(cfg.seed, 12)
     prof = get_profile(cfg.profile)
     records = []
@@ -467,6 +464,7 @@ def check_failure_flags(cfg: RunConfig):
 # combiners suite
 
 def check_rotation_identity(cfg: RunConfig, pairs: int = 60_000):
+    from scipy import stats as sps
     rng = derive_rng(cfg.seed, 21)
     z1 = Basis([[1]])
     s = math.sqrt(2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latgauss import Basis
+from latgauss.verify import random_basis  # noqa: F401  (re-exported for the tests)
 
 
 @pytest.fixture
@@ -26,13 +27,3 @@ def z4():
 
 def make_rng(seed):
     return np.random.default_rng(seed)
-
-
-def random_basis(rng, d, span=9, n=None):
-    n = d if n is None else n
-    while True:
-        rows = rng.integers(-span, span + 1, size=(d, n))
-        try:
-            return Basis(rows.tolist())
-        except Exception:
-            continue

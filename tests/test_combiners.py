@@ -10,9 +10,10 @@ from latgauss import (Basis, CombinerConfig, CosetMap, HonestBatch,
                       make_tower, random_superlattice, rho_sum, smooth_dgs,
                       smoothing_param, sqrt_combine, sublattice_transform,
                       tower_pipeline, coset_weights)
+from latgauss.combiners import _occurrence_positions
 from latgauss.stats import chi_squared_gof
 
-from conftest import make_rng
+from conftest import make_rng, random_basis
 
 RHO_Z_1 = math.fsum(math.exp(-math.pi * k * k) for k in range(-12, 13))
 
@@ -21,6 +22,52 @@ def z_probs(support, s=1.0):
     w = np.exp(-math.pi * np.asarray(support, dtype=float) ** 2 / s ** 2)
     rho = math.fsum(math.exp(-math.pi * k * k / s ** 2) for k in range(-40, 41))
     return w / rho
+
+
+# -- same-coset pairing -----------------------------------------------------------
+
+def occurrence_positions_reference(labels, picks, per, base_index):
+    """Plain-Python listing: the k-th pick of a label takes that label's
+    occurrences per*k ... per*k+per-1 in labels, or None when it has fewer."""
+    where: dict[int, list[int]] = {}
+    for pos, lab in enumerate(labels.tolist()):
+        where.setdefault(lab, []).append(pos + base_index)
+    seen: dict[int, int] = {}
+    out = []
+    for lab in picks.tolist():
+        k = seen.get(lab, 0)
+        seen[lab] = k + 1
+        got = where.get(lab, [])[per * k:per * k + per]
+        if len(got) < per:
+            return None
+        out.append(got)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 4, 65, 100])
+@pytest.mark.parametrize("per", [1, 2])
+@pytest.mark.parametrize("base_index", [0, 37])
+def test_occurrence_positions_matches_reference(n, per, base_index):
+    # n <= 64 and n > 64 take the two branches of _occurrence_index
+    rng = make_rng(500 + n + per)
+    labels = rng.integers(0, n, size=3000)
+    counts = np.bincount(labels, minlength=n)
+    pool = np.repeat(np.arange(n), counts // per)
+    picks = rng.permutation(pool)[: 2 * len(pool) // 3]
+    got = _occurrence_positions(labels, picks, n, per=per, base_index=base_index)
+    want = occurrence_positions_reference(labels, picks, per, base_index)
+    assert got.shape == (len(picks), per)
+    assert got.tolist() == want
+    # one pick more of a label than its occurrences allow
+    short = np.append(rng.permutation(pool), int(np.argmin(counts)))
+    assert occurrence_positions_reference(labels, short, per, base_index) is None
+    assert _occurrence_positions(labels, short, n, per=per, base_index=base_index) is None
+
+
+def test_occurrence_positions_empty_picks():
+    # sqrt_combine(..., quota=0) matches no rows
+    got = _occurrence_positions(np.array([1, 0, 1]), np.zeros(0, dtype=np.int64), 2)
+    assert got.shape == (0, 1)
 
 
 # -- combine_halve -------------------------------------------------------------
@@ -141,6 +188,20 @@ def test_general_dgs_z1(z1):
     assert r.p_value > 0.01
 
 
+def test_general_dgs_refuses_a_proper_seed_prefix():
+    # LLL Gram-Schmidt norms 4.69, 6.91, 7.87: at s = 6 the width after the
+    # capped two raising steps (12) covers only the prefix spanned by
+    # (3, -2, 3), whose line misses a few percent of D_{L,6}, so the honest
+    # answer is an empty batch; at s = 12 the seed covers the whole lattice
+    lat = random_basis(make_rng(0), 3)
+    rows = np.array(lat.rows, dtype=np.int64)
+    assert len(general_dgs(lat, 6.0, 20.0, make_rng(1), "desk", m_target=64)) == 0
+    out = general_dgs(lat, 12.0, 20.0, make_rng(1), "desk", m_target=64)
+    assert len(out) >= 64
+    off_line = np.cross(out.coeffs @ rows, np.array([3, -2, 3])).any(axis=1)
+    assert off_line.any()
+
+
 def test_general_dgs_huge_s_is_start_gauss_fast_path(z2):
     # far above the seed threshold no halving steps are needed, so the
     # pipeline output matches a direct seed-sampler run in distribution
@@ -221,15 +282,9 @@ def test_sqrt_combine_squared_coset_law(z2):
     from latgauss.resamplers import ElementStream, square_sample
     res = square_sample(20.0, ElementStream(labels, cmap1.index), rng)
     assert not res.failed
-    # pair and sum manually following the emitted labels
-    from latgauss.combiners import _label_pools
-    from latgauss.resamplers import _occurrence_index
-    need = 2 * np.bincount(res.items, minlength=cmap1.index)
-    flat, starts = _label_pools(labels, need, cmap1.index)
-    occ = _occurrence_index(res.items, cmap1.index)
-    ia = flat[starts[res.items] + 2 * occ]
-    ib = flat[starts[res.items] + 2 * occ + 1]
-    ysum = inp.coeffs[ia] + inp.coeffs[ib]
+    # pair and sum following the emitted labels
+    pos = _occurrence_positions(labels, res.items, cmap1.index, per=2)
+    ysum = inp.coeffs[pos[:, 0]] + inp.coeffs[pos[:, 1]]
     t = np.array(sublattice_transform(z2, sub))
     # d-cosets of 2 Z^2 inside the sublattice
     w = ysum @ np.linalg.inv(t.astype(float))

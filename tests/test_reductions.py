@@ -9,7 +9,7 @@ from latgauss import (Basis, CONSTANTS, SampleBatch, approx_cvp,
                       exact_provider, lambda1, make_smooth_provider,
                       optimal_svp_param, solve_svp)
 from latgauss import exactlin as xl
-from latgauss.reductions import ReductionConstants, _jacobi_spectral_norm
+from latgauss.reductions import ReductionConstants
 
 from conftest import make_rng, random_basis
 
@@ -97,16 +97,6 @@ def test_covariance_smooth_is_small(z2):
     batch = exact_dgs_sample(z2, 10.0, 10 ** 5, rng)
     st = covariance_statistic(batch)
     assert st.statistic < 0.01
-
-
-def test_jacobi_matches_eigh():
-    rng = make_rng(5)
-    for n in (2, 3, 5, 8):
-        a = rng.normal(size=(n, n))
-        sym = (a + a.T) / 2
-        ours = _jacobi_spectral_norm(sym)
-        ref = float(np.abs(np.linalg.eigvalsh(sym)).max())
-        assert abs(ours - ref) < 1e-9 * max(1.0, ref)
 
 
 # -- gapsvp ------------------------------------------------------------------------

@@ -65,10 +65,11 @@ def test_gof_matches_scipy():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported on the first p-value, not by `import latgauss`
+    # scipy is imported on the first p-value, not by `import latgauss` nor
+    # by the command-line module
     import latgauss
     src = os.path.dirname(os.path.dirname(latgauss.__file__))
-    code = ("import sys, latgauss\n"
+    code = ("import sys, latgauss, latgauss.cli\n"
             "print('scipy' in sys.modules)\n"
             "from latgauss.stats import chi_squared_counts, chi_squared_gof\n"
             "print(repr(chi_squared_gof([120, 80, 60, 40], [0.4, 0.27, 0.2, 0.13],"
