@@ -236,8 +236,7 @@ def general_dgs(lat: Basis, s: float, kappa: float, rng: np.random.Generator,
 
 def sqrt_combine(lat: Basis, sub: Basis, kappa: float, batch: SampleBatch,
                  rng: np.random.Generator,
-                 profile: "str | Profile | None" = None,
-                 quota: int | None = None) -> HonestBatch:
+                 profile: "str | Profile | None" = None) -> HonestBatch:
     """Sum same-coset pairs into the sublattice and square-root-correct the
     residual coset weights; honest: any failed smoothness test yields an
     empty batch, never a wrong-distribution one."""
@@ -257,9 +256,8 @@ def sqrt_combine(lat: Basis, sub: Basis, kappa: float, batch: SampleBatch,
     sublattice_transform(sub, lat.scale(2))  # 2L subseteq sub
 
     def fail(reason: str) -> HonestBatch:
-        req = quota if quota is not None else 0
         return HonestBatch(_empty_batch(sub, out_s, "smooth", batch.claimed_tv_error),
-                           requested_m=req, produced_m=0, below_smoothing_flag=True)
+                           requested_m=0, produced_m=0, below_smoothing_flag=True)
 
     m_in = len(batch)
     zsum, stage = _same_coset_pair_sums(kappa, CosetMap(lat, sub), batch.coeffs, rng, prof)
@@ -291,47 +289,31 @@ def sqrt_combine(lat: Basis, sub: Basis, kappa: float, batch: SampleBatch,
         if len(emitted) < target or target == 0:
             return fail("quota")
         emitted = emitted[:target]
-    if quota is not None:
-        if len(emitted) < quota:
-            return fail("quota")
-        emitted = emitted[:quota]
     pick = _occurrence_positions(dlabels[half:], emitted, cmap2.index, base_index=half)
     if pick is None:
         return fail("matching")
     tv = batch.claimed_tv_error + q / math.factorial(int(kappa))
     out_batch = SampleBatch(ys[pick[:, 0]], sub, out_s, "smooth",
                             claimed_tv_error=min(1.0, tv))
-    produced = len(out_batch)
-    req = quota if quota is not None else produced
-    return HonestBatch(out_batch, requested_m=req, produced_m=produced)
+    return HonestBatch(out_batch, requested_m=len(out_batch), produced_m=len(out_batch))
 
 
 def tower_pipeline(tower: Tower, kappa: float, batch: SampleBatch,
                    rng: np.random.Generator,
-                   profile: "str | Profile | None" = None,
-                   quota: int | None = None) -> HonestBatch:
-    """Climb the tower with one sqrt_combine per level."""
+                   profile: "str | Profile | None" = None) -> HonestBatch:
+    """Climb the tower with one sqrt_combine per level; the first empty
+    level ends the climb.  ell == 0 returns the input."""
     prof = get_profile(profile)
     if prof.paper_rules:
         needed = (prof.c_sqrt * kappa ** 4) ** (tower.ell + 1) * 2 ** tower.a
         if len(batch) < needed:
             raise PreconditionError(
                 f"tower pipeline requires {needed:.3g} input samples, got {len(batch)}")
-    cur = batch
-    hb = None
+    hb = HonestBatch(batch, requested_m=len(batch), produced_m=len(batch))
     for i in range(tower.ell):
-        is_last = i == tower.ell - 1
-        hb = sqrt_combine(tower.levels[i], tower.levels[i + 1], kappa, cur, rng,
-                          prof, quota=quota if is_last else None)
+        hb = sqrt_combine(tower.levels[i], tower.levels[i + 1], kappa, hb.batch, rng, prof)
         if hb.produced_m == 0:
-            req = quota if quota is not None else 0
-            return HonestBatch(hb.batch, requested_m=req, produced_m=0,
-                               below_smoothing_flag=True)
-        cur = hb.batch
-    if hb is None:  # ell == 0 degenerates to the input
-        req = quota if quota is not None else len(batch)
-        take = batch.take(req) if quota is not None else batch
-        return HonestBatch(take, requested_m=req, produced_m=len(take))
+            break
     return hb
 
 
@@ -389,11 +371,11 @@ def smooth_dgs(lat: Basis, s: float, m: int, kappa: float,
         lprev = random_superlattice(lat, a, rng)
         tower = make_tower(lat, lprev, a, ell)
         shat = 2 ** (-ell / 2) * s
-        # cheap viability check before paying for the seed batch: the seed
-        # sampler must cover the full bottom lattice
+        # before paying for the seed batch: a proper seed prefix would put
+        # every sample on a sublattice of L_0
         l0red = reduce_basis(tower.levels[0], "lll")
-        if gram_schmidt(l0red).max_gs_norm > prof.prefix_threshold(shat, l0red.d):
-            continue  # seed width below the sampler threshold for this tower
+        if prefix_rank(l0red, shat, prof) < l0red.d:
+            continue
         if m_base is None:
             yield_total = 1.0
             for i in range(ell):
@@ -406,14 +388,13 @@ def smooth_dgs(lat: Basis, s: float, m: int, kappa: float,
             m_base = int((prof.c_sqrt * kappa ** 4) ** (ell + 1) * 2 ** a)
         if m_base > M_HARD_CAP:
             return empty  # cannot honestly deliver at feasible size
+        # start_gauss reduces L_0 to l0red again, so its prefix is all of it
         sub, base = start_gauss(tower.levels[0], 2, m_base, shat, rng, prof)
-        if sub is None or sub.d < tower.levels[0].d:
-            continue  # proper seed sublattice: abort this attempt
         # express the seed batch in the tower's own basis of L_0
         t0 = np.array(sublattice_transform(tower.levels[0], sub), dtype=np.int64)
         base = SampleBatch(base.coeffs @ t0, tower.levels[0], base.param,
                            base.source, base.claimed_tv_error)
-        hb = tower_pipeline(tower, kappa, base, rng, prof, quota=None)
+        hb = tower_pipeline(tower, kappa, base, rng, prof)
         if hb.produced_m >= m:
             out = hb.batch.take(m)
             out = SampleBatch(out.coeffs, out.basis, out.param, "smooth",

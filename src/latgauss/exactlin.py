@@ -168,83 +168,19 @@ def hnf_lower(t: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row[:n]) for row in m)
 
 
-def snf(t: Sequence[Sequence[int]]):
-    """Smith normal form of a nonsingular integer matrix.
+def f2_echelon(m: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Reduced row echelon form over F_2 of an integer matrix taken mod 2.
 
-    Returns (u, d, v) with u @ t @ v = d, u and v unimodular, d diagonal with
-    positive entries and d[i] | d[i+1].  Only used at desk scale.
+    Returns (rows, pivots): the nonzero echelon rows as 0/1 tuples and the
+    increasing pivot column of each, so len(rows) is the F_2-rank.  Every
+    pivot column is a unit column of the echelon rows.
     """
-    a = [list(map(int, row)) for row in t]
-    n = len(a)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def add_row(i, j, q):  # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, q):  # col i -= q * col j
-        for r in range(n):
-            a[r][i] -= q * a[r][j]
-            v[r][i] -= q * v[r][j]
-
-    def diagonalize_from(k):
-        while True:
-            best = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                raise ValueError("singular matrix in snf")
-            if best[0] != k:
-                swap_rows(k, best[0])
-            if best[1] != k:
-                swap_cols(k, best[1])
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    add_row(i, k, a[i][k] // a[k][k])
-            for j in range(k + 1, n):
-                if a[k][j] != 0:
-                    add_col(j, k, a[k][j] // a[k][k])
-            if all(a[i][k] == 0 for i in range(k + 1, n)) and \
-               all(a[k][j] == 0 for j in range(k + 1, n)):
-                break
-        if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
-
-    for k in range(n):
-        diagonalize_from(k)
-    # enforce divisibility by absorbing offending later divisors
-    k = 0
-    while k < n - 1:
-        bad = next((j for j in range(k + 1, n) if a[j][j] % a[k][k] != 0), None)
-        if bad is None:
-            k += 1
-            continue
-        add_col(k, bad, -1)  # col k += col bad, reintroduces coupling
-        for j in range(k, n):
-            diagonalize_from(j)
-        k = 0  # restart divisibility scan; terminates since d_k strictly divides down
-    return (tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v)))
-
-
-def f2_rank(m: Sequence[Sequence[int]]) -> int:
-    rows = [[x & 1 for x in r] for r in m]
+    rows = [[int(x) & 1 for x in r] for r in m]
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
-    r = 0
+    pivots = []
     for c in range(nc):
+        r = len(pivots)
         piv = next((i for i in range(r, nr) if rows[i][c]), None)
         if piv is None:
             continue
@@ -252,5 +188,5 @@ def f2_rank(m: Sequence[Sequence[int]]) -> int:
         for i in range(nr):
             if i != r and rows[i][c]:
                 rows[i] = [x ^ y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return [tuple(r) for r in rows[:len(pivots)]], pivots

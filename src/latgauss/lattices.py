@@ -470,7 +470,7 @@ def coset_label(point: LatticePoint, sub: Basis) -> CosetLabel:
 
 @dataclass(frozen=True)
 class Tower:
-    levels: tuple[Basis, ...]  # (L_0, ..., L_ell), L_ell densest? no: L_0 densest
+    levels: tuple[Basis, ...]  # (L_0, ..., L_ell): L_0 densest, L_ell = L
     a: int
     ell: int
 
@@ -489,9 +489,26 @@ class Tower:
             raise LatticeError("tower exponent out of range")
 
 
+# A lattice L' with L subseteq L' subseteq L/2 is L + (1/2) W B for the F_2
+# subspace W of coefficient vectors mod 2 that it adds to L = Z^n B, and
+# [L' : L] = 2^dim W.  The reduced echelon rows w_k of W with pivots p_k give
+# the adapted bases below: b_{p_k} = w_k B - (non-pivot rows), so swapping
+# each b_{p_k} for w_k B keeps a basis of L.
+
+def _adapted_rows(lat: Basis, echelon, pivots, c=1) -> list[xl.Vec]:
+    """Rows c * (w_k B) for the echelon rows w_k, then b_j for the non-pivot
+    j: a basis of L for c = 1, and of L + (1/2) W B for c = 1/2."""
+    head = [xl.vec_scale(lat.ambient(w), c) for w in echelon]
+    return head + [lat.rows[j] for j in range(lat.n) if j not in pivots]
+
+
 def make_tower(lat: Basis, lprev: Basis, a: int, ell: int) -> Tower:
     """Tower (L_0, ..., L_ell) with L_ell = lat and L_{ell-1} = lprev, built
-    by cyclically halving a coordinates of an adapted basis."""
+    by cyclically halving a coordinates of a basis of lat adapted to lprev.
+
+    lprev = L + (1/2) W B for an a-dimensional F_2 subspace W, read off the
+    coefficients of 2 lprev in lat mod 2; the adapted basis puts the echelon
+    rows w_k B of W first, so halving the first a rows gives lprev."""
     n = lat.n
     if lat.d != n or lprev.d != n:
         raise LatticeError("towers require full-rank lattices")
@@ -499,33 +516,12 @@ def make_tower(lat: Basis, lprev: Basis, a: int, ell: int) -> Tower:
         raise LatticeError(f"need n/2 <= a <= n, got a={a}, n={n}")
     if ell < 1:
         raise LatticeError("ell must be >= 1")
-    # verify lat subseteq lprev subseteq lat/2 with index 2^a
-    t = sublattice_transform(lprev, lat)
-    idx = transform_index(t)
-    if idx != 2 ** a:
-        raise LatticeError(f"index of L in Lprev is {idx}, wanted 2^{a}")
-    sublattice_transform(lat.scale(Fraction(1, 2)), lprev)  # lprev subseteq L/2
-
-    # adapted basis: lat = B'' with b''_i = d_i * b'_i, d_i in {1, 2},
-    # where B' spans lprev.  Via Smith normal form of t (lat = t @ lprev).
-    _, dmat, v = xl.snf([[int(x) for x in row] for row in t])
-    dvals = [int(dmat[i][i]) for i in range(n)]
-    if sorted(set(dvals)) not in ([1, 2], [1], [2]):
-        raise LatticeError("lprev is not sandwiched between L and L/2")
-    # lat = (u^-1 d v^-1... ) careful: u t v = d  =>  t = u^-1 d v^-1
-    # lat_rows = t @ lprev_rows = u^-1 @ d @ (v^-1 @ lprev_rows)
-    vinv, den = int_inverse(v)
-    if den != 1:
-        raise LatticeError("Smith normal form transform is not unimodular")
-    bprime = Basis([
-        [sum(Fraction(vinv[i][j]) * lprev.rows[j][k] for j in range(n)) for k in range(n)]
-        for i in range(n)
-    ])  # basis of lprev
-    # rows of lat basis: u^-1 @ diag(d) @ bprime; reorder so halved coords first
-    order = sorted(range(n), key=lambda i: -dvals[i])
-    if sum(1 for i in order if dvals[i] == 2) != a:
-        raise LatticeError("index structure does not match 2^a")
-    base_rows = [xl.vec_scale(bprime.rows[i], dvals[i]) for i in order]
+    # lat subseteq lprev subseteq lat/2, and [lprev : lat] = 2^dim W
+    sublattice_transform(lprev, lat)
+    w, pivots = xl.f2_echelon(sublattice_transform(lat, lprev.scale(2)))
+    if len(w) != a:
+        raise LatticeError(f"index of L in Lprev is {2 ** len(w)}, wanted 2^{a}")
+    base_rows = _adapted_rows(lat, w, pivots)
     # exponent bookkeeping: level ell has exponents 0; stepping down halves a
     # coordinates cyclically starting at offset 0
     exps = [[0] * n]
@@ -550,35 +546,19 @@ def make_tower(lat: Basis, lprev: Basis, a: int, ell: int) -> Tower:
 
 def random_superlattice(lat: Basis, a: int, rng: np.random.Generator) -> Basis:
     """Uniformly random superlattice L' with L subset L' subseteq L/2 of
-    index 2^a, via a uniform (n-a)-dimensional binary subspace in the dual."""
+    index 2^a: L + (1/2) W B for a uniform a-dimensional subspace W of F_2^n,
+    the row space of a uniform full-rank a x n binary matrix.  The basis is
+    the canonical one of W's reduced echelon form."""
     n = lat.n
     if lat.d != n:
         raise LatticeError("full-rank lattice required")
     if not (n / 2 <= a < n):
         raise LatticeError(f"need n/2 <= a < n, got a={a}, n={n}")
-    k = n - a
-    dual = dual_basis(lat)
-    # uniform k-dimensional subspace of F_2^n: uniform full-rank n x k matrix
     while True:
-        v = rng.integers(0, 2, size=(n, k), dtype=np.int64)
-        if xl.f2_rank([list(map(int, row)) for row in v]) == k:
+        w, pivots = xl.f2_echelon(rng.integers(0, 2, size=(a, n), dtype=np.int64).tolist())
+        if len(w) == a:
             break
-    # dual sublattice generated by 2*dual rows and the subspace lifts
-    gen_coeffs = [[2 * int(i == j) for j in range(n)] for i in range(n)]
-    for c in range(k):
-        gen_coeffs.append([int(v[i][c]) for i in range(n)])
-    # HNF of the generated coefficient lattice (column lattice of transpose)
-    h = xl.hnf_lower(tuple(zip(*gen_coeffs)))
-    dsub_rows = []
-    for j in range(n):
-        col = [h[i][j] for i in range(n)]
-        row = [Fraction(0)] * n
-        for i, ci in enumerate(col):
-            if ci:
-                row = [x + ci * y for x, y in zip(row, dual.rows[i])]
-        dsub_rows.append(row)
-    dsub = Basis(dsub_rows)
-    sup = dual_basis(dsub)
+    sup = Basis(_adapted_rows(lat, w, pivots, Fraction(1, 2)))
     # sanity: index and sandwich
     if transform_index(sublattice_transform(sup, lat)) != 2 ** a:
         raise LatticeError("random superlattice has wrong index")

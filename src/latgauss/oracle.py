@@ -270,25 +270,26 @@ def smoothing_param(basis: Basis, eps: float) -> SmoothingEstimate:
     _check_rank(basis, SMOOTHING_RANK_LIMIT, "smoothing parameter")
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
-    dual = dual_basis(basis)
+    red = reduce_basis(basis, "lll")
+    dual = reduce_basis(dual_basis(red), "lll")
 
     def dual_mass(s: float) -> float:
         return rho_sum(dual, None, 1.0 / s, tail_eps=min(1e-12, eps * 1e-6)).value - 1.0
 
-    # the dual mass decreases in s; bracket the crossing
-    lo = hi = 1.0
-    for _ in range(200):
-        if dual_mass(lo) >= eps:
-            break
-        lo /= 1.7
-    else:
-        raise RuntimeError("failed to bracket smoothing parameter from below")
-    for _ in range(200):
-        if dual_mass(hi) <= eps:
-            break
-        hi *= 1.7
-    else:
-        raise RuntimeError("failed to bracket smoothing parameter from above")
+    # the dual mass decreases in s; bracket the crossing.  At the first lower
+    # end, +-v for a shortest dual vector v alone carry mass 2 eps.  Below
+    # the second, rho_{1/s}(L*) = det(L) s^-d rho_s(L) >= det(L) s^-d
+    # (Poisson summation) exceeds 1 + eps; 0.99 keeps a margin for rounding.
+    # hi is the GPV08 bound max|b~_i| sqrt(ln(2d(1 + 1/eps))/pi).
+    gs = gram_schmidt(red)
+    d = basis.d
+    lo = max(math.sqrt(math.log(1 / eps) / math.pi) / lambda1(dual)[0],
+             0.99 * (math.prod(gs.gs_norms) / (1 + eps)) ** (1 / d))
+    hi = gs.max_gs_norm * math.sqrt(math.log(2 * d * (1 + 1 / eps)) / math.pi)
+    if not dual_mass(lo) >= eps:
+        raise RuntimeError("smoothing bracket: dual mass below eps at the lower end")
+    if not dual_mass(hi) <= eps:
+        raise RuntimeError("smoothing bracket: dual mass above eps at the upper end")
     while (hi - lo) > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if dual_mass(mid) >= eps:

@@ -65,7 +65,7 @@ def test_occurrence_positions_matches_reference(n, per, base_index):
 
 
 def test_occurrence_positions_empty_picks():
-    # sqrt_combine(..., quota=0) matches no rows
+    # an empty pick list matches no rows
     got = _occurrence_positions(np.array([1, 0, 1]), np.zeros(0, dtype=np.int64), 2)
     assert got.shape == (0, 1)
 

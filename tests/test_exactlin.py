@@ -27,30 +27,30 @@ def test_hnf_lower_triangular_and_index():
     assert h[0][0] * h[1][1] == 2  # |det| preserved
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
-                min_size=3, max_size=3))
-def test_snf_reconstructs(rows):
-    m = np.array(rows)
-    if abs(round(np.linalg.det(m))) < 1:
-        return
-    u, d, v = xl.snf(rows)
-    u, d, v = np.array(u), np.array(d), np.array(v)
-    assert (u @ m @ v == d).all()
-    assert abs(round(np.linalg.det(u.astype(float)))) == 1
-    assert abs(round(np.linalg.det(v.astype(float)))) == 1
-    diag = np.diag(d)
-    assert (diag > 0).all()
-    for i in range(len(diag) - 1):
-        assert diag[i + 1] % diag[i] == 0
-    off = d - np.diag(diag)
-    assert (off == 0).all()
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda nc: st.lists(
+    st.lists(st.integers(-3, 3), min_size=nc, max_size=nc), min_size=1, max_size=6)))
+def test_f2_echelon(rows):
+    ech, pivots = xl.f2_echelon(rows)
+    nc = len(rows[0])
+    assert len(ech) == len(pivots)
+    assert pivots == sorted(set(pivots)) and all(0 <= p < nc for p in pivots)
+    for k, p in enumerate(pivots):  # pivot columns are unit columns
+        assert [r[p] for r in ech] == [int(i == k) for i in range(len(ech))]
+        assert all(x == 0 for x in ech[k][:p])  # leading ones
+    # the row space is unchanged: stacking input on output keeps the rank
+    assert len(xl.f2_echelon(list(rows) + ech)[0]) == len(ech)
+    # the rank is the number of rows returned: 2^rank points in the span
+    span = {tuple(sum(c * x for c, x in zip(cs, col)) % 2 for col in zip(*rows))
+            for cs in np.ndindex(*[2] * len(rows))}
+    assert len(span) == 2 ** len(ech)
 
 
-def test_f2_rank():
-    assert xl.f2_rank([[1, 0], [0, 1]]) == 2
-    assert xl.f2_rank([[1, 1], [1, 1]]) == 1
-    assert xl.f2_rank([[2, 4], [6, 8]]) == 0  # all even
+def test_f2_echelon_examples():
+    assert xl.f2_echelon([[1, 0], [0, 1]]) == ([(1, 0), (0, 1)], [0, 1])
+    assert xl.f2_echelon([[1, 1], [1, 1]]) == ([(1, 1)], [0])
+    assert xl.f2_echelon([[2, 4], [6, 8]]) == ([], [])  # all even
+    assert xl.f2_echelon([[0, 1, 1], [1, 1, 0]]) == ([(1, 0, 1), (0, 1, 1)], [0, 1])
 
 
 def test_solve_exact():

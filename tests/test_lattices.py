@@ -214,6 +214,30 @@ def test_make_tower_rejects_bad_a(z2):
         make_tower(z2, lprev, 3, 1)  # a > n
 
 
+def test_make_tower_rejects_lprev_not_containing_lat(z2):
+    # 2 lprev lies in Z^2 with F_2-rank 1, but lprev misses (0, 1)
+    lprev = Basis([[Fraction(1, 2), 0], [0, 2]])
+    with pytest.raises(LatticeError):
+        make_tower(z2, lprev, 1, 1)
+
+
+def test_tower_top_levels_span_lat_and_lprev():
+    # skewed bases: a random basis times a random unimodular upper-triangular
+    rng = make_rng(31)
+    ell = 3
+    for _ in range(8):
+        n = int(rng.integers(2, 6))
+        a = int(rng.integers((n + 1) // 2, n))
+        u = np.triu(rng.integers(-5, 6, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+        rows = u @ np.array(random_basis(rng, n, span=9).rows, dtype=object)
+        lat = Basis(rows.tolist())
+        lprev = random_superlattice(lat, a, rng)
+        tower = make_tower(lat, lprev, a, ell)
+        for got, want in ((tower.levels[ell - 1], lprev), (tower.levels[ell], lat)):
+            t = sublattice_transform(got, want)
+            assert abs(xl.det(xl.to_fraction_mat(t))) == 1
+
+
 def test_tower_invariants_random():
     rng = make_rng(17)
     for _ in range(6):
@@ -248,6 +272,20 @@ def test_superlattice_equidistribution(z2):
     assert len(counts) == 3
     obs = np.array(list(counts.values()))
     r = chi_squared_gof(obs, np.full(3, 1 / 3))
+    assert r.p_value > 0.01
+
+
+def test_superlattice_equidistribution_rank3(z3):
+    # the 2-dimensional subspaces of F_2^3 are the 7 superlattices of index 4
+    rng = make_rng(37)
+    counts = {}
+    trials = 2100
+    for _ in range(trials):
+        sup = random_superlattice(z3, 2, rng)
+        counts[sup.rows] = counts.get(sup.rows, 0) + 1
+    assert len(counts) == 7
+    obs = np.array(list(counts.values()))
+    r = chi_squared_gof(obs, np.full(7, 1 / 7))
     assert r.p_value > 0.01
 
 

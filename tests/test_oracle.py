@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latgauss import (Basis, OracleLimitError, coset_weights, cvp_exact,
-                      enumerate_ball, exact_dgs_sample, lambda1, rho_sum,
-                      smoothing_param)
+from latgauss import (Basis, OracleLimitError, coset_weights, cvp_exact, dual_basis,
+                      enumerate_ball, exact_dgs_sample, gram_schmidt, lambda1,
+                      reduce_basis, rho_sum, smoothing_param)
 from conftest import make_rng, random_basis
 
 # independent reference values computed by direct summation
@@ -169,6 +169,21 @@ def test_smoothing_monotone():
         big = smoothing_param(b, 0.1).eta
         small = smoothing_param(b, 0.5).eta
         assert big >= small
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_smoothing_high_rank(d):
+    # with entries up to 9 the dual's shortest vectors are about 0.1 long, so
+    # a bracket that starts at s = 1 enumerates far too many dual points
+    b = random_basis(np.random.default_rng(0), d)
+    est = smoothing_param(b, 0.5)
+    lo, hi = est.bracket
+    assert lo <= est.eta <= hi and hi - lo <= 1e-9 * hi
+    dual = reduce_basis(dual_basis(b), "lll")
+    assert abs(rho_sum(dual, None, 1 / est.eta).value - 1.5) < 1e-6
+    gpv = gram_schmidt(reduce_basis(b, "lll")).max_gs_norm * math.sqrt(
+        math.log(2 * d * 3) / math.pi)
+    assert est.eta <= gpv
 
 
 # -- coset_weights -------------------------------------------------------------------
