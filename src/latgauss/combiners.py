@@ -19,8 +19,8 @@ import numpy as np
 from . import oracle
 from .lattices import Basis, CosetMap, Tower, int_inverse, make_tower, \
     random_superlattice, reduce_basis, sublattice_transform, gram_schmidt, transform_index
-from .profiles import DESK_ELL_MAX, DESK_TOWER_ELL, SIZE_SAFETY, SMOOTH_SIZE_SAFETY, \
-    Profile, get_profile
+from .profiles import DESK_ELL_MAX, DESK_TOWER_ELL, DESK_WINDOW_SHARE, SIZE_SAFETY, \
+    SMOOTH_SIZE_SAFETY, SQRT_LOOP_SHARE, Profile, get_profile
 from .resamplers import ElementStream, ProbVector, square_sample, \
     sqrt_sample, ratio_check, desk_tau, _occurrence_index
 from .samplers import PreconditionError, SampleBatch, prefix_rank, start_gauss
@@ -41,14 +41,26 @@ class CombinerConfig:
             raise ValueError("ell must be >= 0")
 
 
+# failures that a larger seed batch can mend; the others (size-test,
+# ratio-test, pmax-bound) say the width is below smoothing
+SHORTFALL_REASONS = ("square", "sqrt", "shortfall")
+
+
 @dataclass
 class HonestBatch:
-    """All-or-quota sample delivery: produced_m is 0 or requested_m."""
+    """All-or-quota sample delivery: produced_m is 0 or requested_m.
+
+    fail_reason names the stage that emptied a batch: a sqrt_combine stage
+    (square, pairing, size-test, ratio-test, pmax-bound, sqrt, quota,
+    matching), or for smooth_dgs shortfall (fewer than m samples), seed-prefix
+    (no tower had a seed width above the prefix threshold) and size-cap (the
+    seed batch would exceed M_HARD_CAP).
+    """
 
     batch: SampleBatch
     requested_m: int
     produced_m: int
-    below_smoothing_flag: bool = False
+    fail_reason: str | None = None
 
     def __post_init__(self):
         if self.produced_m not in (0, self.requested_m):
@@ -174,16 +186,22 @@ def _worst_pmax_hat(p: ProbVector) -> float:
     return max(cands) if cands else 1.0
 
 
+def _square_pass_yield(pv: ProbVector, kappa: float) -> float:
+    """Expected output fraction of one desk square_sample call: its final
+    pass holds 1 - DESK_WINDOW_SHARE of the stream, and element i passes its
+    coin with probability p_i / (kappa p_hat), at the worst admissible p_hat."""
+    return (1 - DESK_WINDOW_SHARE) * pv.p_col / (kappa * _worst_pmax_hat(pv))
+
+
 def _square_stage_yield(lat: Basis, sub: Basis, s: float, kappa: float) -> float:
     """Expected output fraction of one halving step, sized for the worst
     admissible p_max estimate."""
     try:
         probs, _ = oracle.coset_weights(lat, sub, s)
-        pv = ProbVector(probs)
-        return pv.p_col / (6 * kappa * _worst_pmax_hat(pv))
+        return _square_pass_yield(ProbVector(probs), kappa)
     except oracle.OracleLimitError:
         n = 2 ** lat.d
-        return 1.0 / (6 * kappa * n)  # p_col >= 1/N and p_hat <= 1
+        return (1 - DESK_WINDOW_SHARE) / (kappa * n)  # p_col >= 1/N and p_hat <= 1
 
 
 def general_dgs(lat: Basis, s: float, kappa: float, rng: np.random.Generator,
@@ -257,7 +275,7 @@ def sqrt_combine(lat: Basis, sub: Basis, kappa: float, batch: SampleBatch,
 
     def fail(reason: str) -> HonestBatch:
         return HonestBatch(_empty_batch(sub, out_s, "smooth", batch.claimed_tv_error),
-                           requested_m=0, produced_m=0, below_smoothing_flag=True)
+                           requested_m=0, produced_m=0, fail_reason=reason)
 
     m_in = len(batch)
     zsum, stage = _same_coset_pair_sums(kappa, CosetMap(lat, sub), batch.coeffs, rng, prof)
@@ -281,6 +299,8 @@ def sqrt_combine(lat: Basis, sub: Basis, kappa: float, batch: SampleBatch,
         return fail("ratio-test")
     res2 = sqrt_sample(kappa, prof.t_ratio, ElementStream(dlabels[half:], cmap2.index),
                        rng, prof)
+    if res2.fail_stage == "pmax-bound":
+        return fail("pmax-bound")
     if res2.failed or len(res2) == 0:
         return fail("sqrt")
     emitted = res2.items
@@ -322,8 +342,7 @@ def _sqrt_chain_yield(l0: Basis, l1: Basis, two_l0: Basis, shat: float,
     """Expected emitted fraction of one sqrt_combine step at width shat."""
     try:
         probs1, _ = oracle.coset_weights(l0, l1, shat)
-        pv1 = ProbVector(probs1)
-        sq_yield = pv1.p_col / (6 * kappa * _worst_pmax_hat(pv1))
+        sq_yield = _square_pass_yield(ProbVector(probs1), kappa)
         probs2, _ = oracle.coset_weights(l1, two_l0, shat * math.sqrt(2))
         pv2 = ProbVector(probs2)
         n2 = len(probs2)
@@ -331,11 +350,13 @@ def _sqrt_chain_yield(l0: Basis, l1: Basis, two_l0: Basis, shat: float,
         ratio = pv2.p_max / max(pv2.p_min, 1e-30)
         tau = desk_tau(kappa, n2, p2hat, ratio, prof.t_ratio)
         accept = np.sqrt(np.maximum(pv2.probs, 0) / (kappa * p2hat)).sum()
-        # q' elements -> J = q' p2hat / 3 windows -> J // tau blocks per element
-        emit_per_qprime = (p2hat / (3 * tau)) * accept
+        # q' elements, less the skew sample (an eighth at most) -> 7 q' p2hat / 8
+        # windows -> that over tau blocks per element, of which the loop reads
+        # about SQRT_LOOP_SHARE
+        emit_per_qprime = SQRT_LOOP_SHARE * (7 * p2hat / (8 * tau)) * accept
         return sq_yield * 0.5 * emit_per_qprime
     except oracle.OracleLimitError:
-        return 1.0 / (6 * kappa * 2 ** l0.d) * 0.5 / (kappa ** 2)
+        return (1 - DESK_WINDOW_SHARE) / (kappa * 2 ** l0.d) * 0.5 / (kappa ** 2)
 
 
 def smooth_dgs(lat: Basis, s: float, m: int, kappa: float,
@@ -353,10 +374,13 @@ def smooth_dgs(lat: Basis, s: float, m: int, kappa: float,
     n = lat.d
     if lat.n != n:
         raise PreconditionError("full-rank lattice required")
-    empty = HonestBatch(_empty_batch(lat, s, "smooth"), requested_m=m,
-                        produced_m=0, below_smoothing_flag=True)
+
+    def empty(reason: str | None) -> HonestBatch:
+        return HonestBatch(_empty_batch(lat, s, "smooth"), requested_m=m,
+                           produced_m=0, fail_reason=reason)
+
     if m == 0:
-        return empty
+        return empty(None)
     if prof.paper_rules:
         a = min(max(int(math.ceil(n / 2 + n / max(math.log(n), 1.0))), (n + 1) // 2), n - 1)
         ell = max(1, int(math.ceil(math.log(max(n, 2)) ** 4)))
@@ -367,6 +391,7 @@ def smooth_dgs(lat: Basis, s: float, m: int, kappa: float,
         raise PreconditionError("lattice rank too small for a tower")
     attempts = max(1, int(kappa))
     m_base: int | None = None
+    reason = "seed-prefix"
     for attempt in range(attempts):
         lprev = random_superlattice(lat, a, rng)
         tower = make_tower(lat, lprev, a, ell)
@@ -387,7 +412,7 @@ def smooth_dgs(lat: Basis, s: float, m: int, kappa: float,
         if prof.paper_rules:
             m_base = int((prof.c_sqrt * kappa ** 4) ** (ell + 1) * 2 ** a)
         if m_base > M_HARD_CAP:
-            return empty  # cannot honestly deliver at feasible size
+            return empty("size-cap")  # cannot honestly deliver at feasible size
         # start_gauss reduces L_0 to l0red again, so its prefix is all of it
         sub, base = start_gauss(tower.levels[0], 2, m_base, shat, rng, prof)
         # express the seed batch in the tower's own basis of L_0
@@ -400,8 +425,9 @@ def smooth_dgs(lat: Basis, s: float, m: int, kappa: float,
             out = SampleBatch(out.coeffs, out.basis, out.param, "smooth",
                               out.claimed_tv_error)
             return HonestBatch(out, requested_m=m, produced_m=m)
-        if hb.produced_m > 0 or not hb.below_smoothing_flag:
-            # yield shortfall rather than a failed smoothness test: try a
-            # larger seed batch next attempt
+        reason = hb.fail_reason or "shortfall"
+        if reason in SHORTFALL_REASONS:
+            # a yield shortfall rather than a failed smoothness test: try a
+            # larger seed batch on the next tower
             m_base = min(M_HARD_CAP, m_base * 2)
-    return empty
+    return empty(reason)

@@ -21,6 +21,13 @@ TAU_Z = 12.0              # 1-D sampler window [c - TAU_Z s, c + TAU_Z s], mass 
 SQRT_TAU_MULT = 2.0       # adaptive tau = ceil(mult*kappa*N*pmax_hat*ratio_hat)
 DESK_TOWER_ELL = 1        # desk tower height
 DESK_ELL_MAX = 2          # desk cap on halving steps in the general sampler
+# desk square sampler: the windows take this share of what the p_max
+# estimate leaves, on average, and the final pass the rest (3 : 2)
+DESK_WINDOW_SHARE = 0.6
+# desk square-root loop: it stops at the first symbol whose coins run out,
+# and the skew estimate errs towards longer blocks, so at desk sizes (a few
+# thousand elements) it emits about this share of its coin supply
+SQRT_LOOP_SHARE = 0.85
 SIZE_SAFETY = 1.35        # halving-pipeline sizing headroom
 SMOOTH_SIZE_SAFETY = 1.55  # tower sizing headroom
 

@@ -7,6 +7,12 @@ heavy stages are vectorized over numpy arrays; window sizes, acceptance
 coins, and block reductions consume the supplied generator in a fixed,
 documented order (window sizes first, then acceptance coins in window-major
 order, then block coins in element-major order).
+
+Both samplers open with estimate_pmax.  Under the paper rules it reads from
+a first half set aside for it; under the desk rules it reads straight from
+the stream.  Its stopping time depends only on the elements it has read, so
+the elements after it are still i.i.d. and independent of the estimate, and
+the later stages use them.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import SQRT_TAU_MULT, Profile, get_profile
+from .profiles import DESK_WINDOW_SHARE, SQRT_TAU_MULT, Profile, get_profile
 
 
 class StreamExhausted(RuntimeError):
@@ -168,8 +174,7 @@ def bernoulli_from_poisson(r: int, kappa: float, rng: np.random.Generator) -> in
 # ---------------------------------------------------------------------------
 # p_max estimation
 
-def estimate_pmax(kappa: float, stream: ElementStream, rng: np.random.Generator,
-                  _diagnostics: list | None = None) -> float:
+def estimate_pmax(kappa: float, stream: ElementStream, rng: np.random.Generator) -> float:
     """Halving-loop estimate of the maximal element probability.
 
     Draws a Pois(kappa/p) window, reads it, and accepts p once some element
@@ -185,14 +190,18 @@ def estimate_pmax(kappa: float, stream: ElementStream, rng: np.random.Generator,
         window = stream.take(r)
         counts = np.bincount(window, minlength=stream.n_alphabet)
         if len(counts) and counts.max() >= thresh:
-            if _diagnostics is not None:
-                _diagnostics.append(counts)
             return p
         p /= 2.0
 
 
 # ---------------------------------------------------------------------------
 # shared window machinery
+
+# _window_coins counts (window, element) pairs in a dense table only while
+# the table holds at most this many entries per window element; sparser
+# keys are counted by sorting, so memory stays a multiple of the input.
+DENSE_TABLE_FACTOR = 4
+
 
 def _window_coins(stream: ElementStream, n_windows: int, mean: float,
                   kappa: float, rng: np.random.Generator):
@@ -208,7 +217,7 @@ def _window_coins(stream: ElementStream, n_windows: int, mean: float,
     lab = stream.take(need)
     wid = np.repeat(np.arange(n_windows, dtype=np.int64), sizes)
     key = wid * n + lab
-    if n_windows * n <= 300_000_000:
+    if n_windows * n <= DENSE_TABLE_FACTOR * len(key):
         cnt = np.bincount(key, minlength=n_windows * n)
         nz = np.flatnonzero(cnt)
         a = cnt[nz]
@@ -242,27 +251,35 @@ def square_sample(kappa: float, stream: ElementStream, rng: np.random.Generator,
     """Transform i.i.d. draws into draws from the normalized squared
     distribution.
 
-    Three stages: estimate p_max on the first half, coin the Poissonized
-    windows, then rejection-filter a final pass of M/6 elements against the
-    unused coins.  Failure (exhaustion or coin shortage) yields an empty,
+    Three stages: estimate p_max, coin the Poissonized windows, then
+    rejection-filter a final pass against the unused coins.  The paper rules
+    estimate on the first half of the M elements and give M/4 to the windows
+    and M/6 to the final pass.  The desk rules estimate on the head of the
+    stream, give the windows DESK_WINDOW_SHARE of what is left on average
+    and the final pass the rest, so the coins outnumber the final elements
+    3 : 2 in both.  Failure (exhaustion or coin shortage) yields an empty,
     flagged result.
     """
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
+    prof = get_profile(profile)
     n = stream.n_alphabet
     m_in = stream.remaining()
-    est = ElementStream(stream.take(m_in // 2), n)
+    est = ElementStream(stream.take(m_in // 2), n) if prof.paper_rules else stream
     try:
         pmax_hat = estimate_pmax(kappa, est, rng)
     except StreamExhausted:
         return _empty_result(n, "estimate")
-    n_windows = int(m_in * pmax_hat / 4)
+    if prof.paper_rules:
+        n_windows = int(m_in * pmax_hat / 4)
+    else:
+        n_windows = int(DESK_WINDOW_SHARE * stream.remaining() * pmax_hat)
     try:
         ones, _ = _window_coins(stream, n_windows, 1.0 / pmax_hat, kappa, rng)
     except StreamExhausted:
         return _empty_result(n, "windows", pmax_hat)
     try:
-        final = stream.take(m_in // 6)
+        final = stream.take(m_in // 6 if prof.paper_rules else stream.remaining())
     except StreamExhausted:
         return _empty_result(n, "final", pmax_hat)
     occ = _occurrence_index(final, n)
@@ -329,17 +346,57 @@ def desk_tau(kappa: float, n_alphabet: int, pmax_hat: float, ratio_hat: float,
     return max(1, min(tau, cap))
 
 
+def _emit(bstar: np.ndarray, max_iter: int, quota: int | None, paper_rules: bool,
+          rng: np.random.Generator) -> np.ndarray | None:
+    """The uniform index loop over the square-root coins bstar (N x blocks).
+
+    Draws symbols i uniformly in chunks of 1024 and reads bstar[i] in order,
+    emitting i on a 1.  It stops after max_iter draws, at the quota, or when
+    a drawn symbol has no coin left; that last stop returns None under the
+    paper rules.  Every chunk is drawn whole, so the generator advances as a
+    draw-at-a-time loop would.
+    """
+    n, n_blocks = bstar.shape
+    ptr = np.zeros(n, dtype=np.int64)
+    out = []
+    emitted = 0
+    it = 0
+    chunk = 1024
+    while it < max_iter:
+        draws = rng.integers(0, n, size=min(chunk, max_iter - it))
+        it += len(draws)
+        pos = ptr[draws] + _occurrence_index(draws, n)
+        dry = np.flatnonzero(pos >= n_blocks)
+        stop = dry[0] if len(dry) else len(draws)
+        hits = draws[:stop][bstar[draws[:stop], pos[:stop]] == 1]
+        if quota is not None and emitted + len(hits) >= quota:
+            out.append(hits[:quota - emitted])
+            break
+        if len(dry) and paper_rules:
+            return None
+        out.append(hits)
+        emitted += len(hits)
+        if len(dry):
+            break
+        ptr += np.bincount(draws, minlength=n)
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+
+
 def sqrt_sample(kappa: float, t: float, stream: ElementStream,
                 rng: np.random.Generator,
                 profile: "str | Profile | None" = None) -> ResampleResult:
     """Transform i.i.d. draws into draws from the normalized square-root
     distribution (alphabet ratio bounded by t).
 
-    Pipeline: p_max estimation on the first half, Poissonized windows with
-    acceptance coins, square-root coins over tau-sized blocks, then a uniform
-    index loop emitting accepted elements.  The paper profile enforces the
-    conservative block length, loop bound, and output quota; the desk profile
-    sizes tau adaptively and emits the realized output.
+    Pipeline: p_max estimation, Poissonized windows with acceptance coins,
+    square-root coins over tau-sized blocks, then a uniform index loop
+    emitting accepted elements.  The paper rules estimate on the first half
+    of the M elements, give M/3 to the windows, and enforce the conservative
+    block length, loop bound, and output quota.  The desk rules estimate on
+    the head of the stream, read up to 4,000 more elements (an eighth of
+    what is left, at most) to gauge the skew that sizes tau, and put the
+    rest into windows, less three standard deviations of the windows' total
+    size; they emit the realized output.
     """
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
@@ -348,39 +405,32 @@ def sqrt_sample(kappa: float, t: float, stream: ElementStream,
     prof = get_profile(profile)
     n = stream.n_alphabet
     m_in = stream.remaining()
-    est = ElementStream(stream.take(m_in // 2), n)
-    diag: list = []
+    est = ElementStream(stream.take(m_in // 2), n) if prof.paper_rules else stream
     try:
-        pmax_hat = estimate_pmax(kappa, est, rng, _diagnostics=diag)
+        pmax_hat = estimate_pmax(kappa, est, rng)
     except StreamExhausted:
         return _empty_result(n, "estimate")
     if pmax_hat > 4.0 * t / n:
         return _empty_result(n, "pmax-bound", pmax_hat)
-    if not prof.paper_rules and est.remaining():
-        # sharpen the skew estimate on leftover estimation-half elements
-        extra = est.take(min(4000, est.remaining()))
-        diag.append(np.bincount(extra, minlength=n))
-    n_windows = int(m_in * pmax_hat / 3)
+    if prof.paper_rules:
+        tau = int(math.ceil(kappa * kappa * t))
+        n_windows = int(m_in * pmax_hat / 3)
+    else:
+        skew = np.bincount(stream.take(min(4000, stream.remaining() // 8)), minlength=n)
+        tau = desk_tau(kappa, n, pmax_hat, float((skew.max() + 1) / (skew.min() + 1)), t)
+        rest = stream.remaining()
+        n_windows = int(max(0.0, rest - 3 * math.sqrt(rest)) * pmax_hat)
     try:
         ones, _ = _window_coins(stream, n_windows, 1.0 / pmax_hat, kappa, rng)
     except StreamExhausted:
         return _empty_result(n, "windows", pmax_hat)
-
-    if prof.paper_rules:
-        tau = int(math.ceil(kappa * kappa * t))
-    else:
-        counts = diag[-1] if diag else np.ones(n)
-        ratio_hat = float((counts.max() + 1.0) / (counts.min() + 1.0))
-        tau = desk_tau(kappa, n, pmax_hat, ratio_hat, t)
     n_blocks = n_windows // tau
     if n_blocks == 0:
         return _empty_result(n, "blocks", pmax_hat)
 
     # per-element sqrt coins over tau-blocks, element-major draw order
-    bstar = []
-    for i in range(n):
-        ones_i = ones[ones % n == i] // n
-        bstar.append(_block_sqrt_coins(ones_i, n_blocks, tau, rng))
+    bstar = np.stack([_block_sqrt_coins(ones[ones % n == i] // n, n_blocks, tau, rng)
+                      for i in range(n)])
 
     quota = None
     if prof.paper_rules:
@@ -391,33 +441,11 @@ def sqrt_sample(kappa: float, t: float, stream: ElementStream,
     else:
         max_iter = n * n_blocks  # supply bound: every coin consumed once
 
-    out = []
-    ptr = [0] * n
-    it = 0
-    stopped = False
-    chunk = 1024
-    while it < max_iter and not stopped:
-        todo = min(chunk, max_iter - it)
-        draws = rng.integers(0, n, size=todo)
-        for i in draws:
-            it += 1
-            i = int(i)
-            if ptr[i] >= n_blocks:
-                if prof.paper_rules:
-                    return _empty_result(n, "bstar-exhausted", pmax_hat)
-                stopped = True
-                break
-            if bstar[i][ptr[i]]:
-                out.append(i)
-            ptr[i] += 1
-            if quota is not None and len(out) >= quota:
-                stopped = True
-                break
-    items = np.array(out, dtype=np.int64)
-    if quota is not None:
-        if len(items) < quota:
-            return _empty_result(n, "quota", pmax_hat)
-        items = items[:quota]
+    items = _emit(bstar, max_iter, quota, prof.paper_rules, rng)
+    if items is None:
+        return _empty_result(n, "bstar-exhausted", pmax_hat)
+    if quota is not None and len(items) < quota:
+        return _empty_result(n, "quota", pmax_hat)
     return ResampleResult(items, n, pmax_hat=pmax_hat)
 
 

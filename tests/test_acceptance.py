@@ -7,7 +7,7 @@ in the repo root) so the run leaves an auditable record.  Run with:
 
 The GapSVP no-side check at the pinned desk sample count is statistically
 unattainable (the spectral statistic's sampling noise exceeds the decision
-threshold until the sample count grows ~40x); it is marked xfail with the
+threshold until the sample count grows ~10x); it is marked xfail with the
 companion conservative-sample check passing.
 """
 

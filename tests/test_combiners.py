@@ -10,11 +10,15 @@ from latgauss import (Basis, CombinerConfig, CosetMap, HonestBatch,
                       make_tower, random_superlattice, rho_sum, smooth_dgs,
                       smoothing_param, sqrt_combine, sublattice_transform,
                       tower_pipeline, coset_weights)
-from latgauss.combiners import _occurrence_positions
+from latgauss import combiners
+from latgauss.combiners import _occurrence_positions, _sqrt_chain_yield, _square_stage_yield
+from latgauss.profiles import SMOOTH_SIZE_SAFETY, get_profile
 from latgauss.stats import chi_squared_gof
 
 from conftest import make_rng, random_basis
 
+# the failure reasons that say the width is below smoothing
+BELOW_SMOOTHING = ("seed-prefix", "size-test", "ratio-test", "pmax-bound")
 RHO_Z_1 = math.fsum(math.exp(-math.pi * k * k) for k in range(-12, 13))
 
 
@@ -363,6 +367,7 @@ def test_tower_below_smoothing_empties(z2):
         inp = exact_dgs_sample(tower.levels[0], 0.05, 50_000, rng)
         hb = tower_pipeline(tower, 20.0, inp, rng, "desk")
         empties += hb.produced_m == 0
+        assert hb.produced_m > 0 or hb.fail_reason in BELOW_SMOOTHING
     assert empties >= 0.95 * runs
 
 
@@ -385,7 +390,7 @@ def test_smooth_dgs_below_smoothing_mostly_empty(z2):
         hb = smooth_dgs(z2, 0.3, 12, 20.0, make_rng(60 + i), "desk")
         assert hb.produced_m in (0, 12)
         nonzero += hb.produced_m > 0
-        assert hb.below_smoothing_flag or hb.produced_m > 0
+        assert hb.produced_m > 0 or hb.fail_reason in BELOW_SMOOTHING
     assert nonzero <= 1
 
 
@@ -406,3 +411,62 @@ def test_honest_batch_invariant():
     empty = SampleBatch(np.zeros((0, 2), dtype=np.int64), z2, 1.0, "smooth")
     with pytest.raises(ValueError):
         HonestBatch(empty, requested_m=5, produced_m=3)
+
+
+# -- sizing and retries ------------------------------------------------------------
+
+@pytest.mark.parametrize("s", [0.8, 3.0])
+def test_square_stage_yield_is_not_optimistic(z2, s):
+    # averaged over 20 seeds, the predicted output fraction of one halving
+    # step is at most 1.1 times the realized one
+    pred = _square_stage_yield(z2, z2.scale(2), s, 20.0)
+    realized = []
+    for i in range(20):
+        rng = make_rng(900 + i)
+        inp = exact_dgs_sample(z2, s, 200_000, rng)
+        realized.append(len(combine_halve(z2, 20.0, inp, rng, "desk")) / len(inp))
+    assert pred <= 1.1 * np.mean(realized)
+
+
+def test_sqrt_chain_yield_is_not_optimistic(z2):
+    # one tower level at smooth_dgs's seed width for s = 3, fed the seed
+    # size it asks for m = 12.  (At s = 0.8 the chain declines below
+    # smoothing, so there is no yield to compare.)
+    shat = 3.0 / math.sqrt(2)
+    prof = get_profile("desk")
+    preds, realized = [], []
+    for i in range(20):
+        rng = make_rng(950 + i)
+        tower = make_tower(z2, random_superlattice(z2, 1, rng), 1, 1)
+        l0, l1 = tower.levels
+        pred = _sqrt_chain_yield(l0, l1, l0.scale(2), shat, 20.0, prof)
+        m_in = int(12 * SMOOTH_SIZE_SAFETY / pred)
+        hb = sqrt_combine(l0, l1, 20.0, exact_dgs_sample(l0, shat, m_in, rng), rng, prof)
+        preds.append(pred)
+        realized.append(hb.produced_m / m_in)
+    assert np.mean(preds) <= 1.1 * np.mean(realized)
+
+
+@pytest.mark.parametrize("reason,doubles", [
+    ("square", True), ("sqrt", True),
+    ("ratio-test", False), ("size-test", False), ("pmax-bound", False),
+])
+def test_smooth_dgs_retries_on_the_failure_reason(z2, monkeypatch, reason, doubles):
+    # an empty square or square-root stage doubles the seed batch for the
+    # next tower; a failed smoothness test re-rolls the tower at the same size
+    sizes = []
+    real_start_gauss = combiners.start_gauss
+
+    def start_gauss(lat, c, m_in, s, rng, prof):
+        sizes.append(m_in)
+        return real_start_gauss(lat, c, 16, s, rng, prof)
+
+    def tower_pipeline(tower, kappa, batch, rng, prof):
+        return HonestBatch(batch.take(0), requested_m=0, produced_m=0, fail_reason=reason)
+
+    monkeypatch.setattr(combiners, "start_gauss", start_gauss)
+    monkeypatch.setattr(combiners, "tower_pipeline", tower_pipeline)
+    hb = smooth_dgs(z2, 3.0, 12, 3.0, make_rng(90), "desk")
+    assert hb.produced_m == 0 and hb.fail_reason == reason
+    assert len(sizes) == 3
+    assert sizes == [sizes[0] * 2 ** k if doubles else sizes[0] for k in range(3)]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from latgauss import (ElementStream, ProbVector, StreamExhausted,
                       bernoulli_from_poisson, estimate_pmax, poisson_thin,
                       ratio_check, sample_poisson, sqrt_coin, sqrt_sample,
                       square_sample)
+from latgauss import resamplers
+from latgauss.resamplers import _emit, _window_coins
 
 from conftest import make_rng
 
@@ -348,3 +351,111 @@ def test_sqrt_sample_paper_profile_fails_when_short():
     items = rng.integers(0, 2, size=100)
     res = sqrt_sample(2.0, 1.0, ElementStream(items, 2), rng, "paper")
     assert res.failed and len(res) == 0
+
+
+# -- how much of the stream each rule set reads ------------------------------------
+
+def test_desk_rules_read_the_whole_stream():
+    # the p_max estimate reads from the head of the stream and the later
+    # stages take what it leaves: at most 1% goes unread
+    rng = make_rng(22)
+    m_in = 10 ** 6
+    stream = ElementStream(rng.choice(3, size=m_in, p=[0.5, 0.3, 0.2]), 3)
+    res = square_sample(20.0, stream, rng, "desk")
+    assert not res.failed
+    assert stream.remaining() <= 0.01 * m_in
+    stream = ElementStream(rng.choice(2, size=m_in, p=[0.55, 0.45]), 2)
+    res = sqrt_sample(20.0, 8.0, stream, rng, "desk")
+    assert not res.failed
+    assert stream.remaining() <= 0.01 * m_in
+
+
+def _pin(res, rng):
+    return (len(res), res.fail_stage,
+            hashlib.sha256(res.items.tobytes()).hexdigest()[:16], rng.random())
+
+
+def test_paper_rules_keep_their_split():
+    # the paper rules set aside half the stream for the estimate and give
+    # the windows and the final pass M/4 and M/6 (square) or M/3 (square
+    # root): these are the exact items and the next generator value of the
+    # draw-at-a-time implementation
+    rng = make_rng(2024)
+    items = rng.choice(3, size=120_000, p=[0.5, 0.3, 0.2])
+    res = square_sample(20.0, ElementStream(items, 3), rng, "paper")
+    assert _pin(res, rng) == (395, None, "262874c4334370ac", 0.14134040825954086)
+    rng = make_rng(2025)
+    items = rng.integers(0, 2, size=200_000)
+    res = sqrt_sample(2.0, 1.0, ElementStream(items, 2), rng, "paper")
+    assert _pin(res, rng) == (1562, None, "e92de06d342cfc52", 0.008036672416105617)
+
+
+# -- the square-root emission loop -------------------------------------------------
+
+def emit_reference(bstar, max_iter, quota, paper_rules, rng):
+    """The draw-at-a-time loop: None when the paper rules meet a symbol
+    with no coin left, else the emitted symbols (cut to the quota)."""
+    n, n_blocks = bstar.shape
+    out = []
+    ptr = [0] * n
+    it = 0
+    stopped = False
+    while it < max_iter and not stopped:
+        draws = rng.integers(0, n, size=min(1024, max_iter - it))
+        for i in draws:
+            it += 1
+            i = int(i)
+            if ptr[i] >= n_blocks:
+                if paper_rules:
+                    return None
+                stopped = True
+                break
+            if bstar[i][ptr[i]]:
+                out.append(i)
+            ptr[i] += 1
+            if quota is not None and len(out) >= quota:
+                stopped = True
+                break
+    items = np.array(out, dtype=np.int64)
+    return items if quota is None else items[:quota]
+
+
+@pytest.mark.parametrize("n,n_blocks,density,max_iter,quota,paper_rules,outcome", [
+    (2, 3000, 0.3, None, None, False, "exhausted"),   # desk: supply bound
+    (100, 40, 0.5, None, None, False, "exhausted"),   # n > 64 occurrence path
+    (3, 2000, 0.5, 5000, 700, True, "quota"),         # paper: quota met
+    (2, 600, 0.5, 5000, 550, True, "quota"),          # paper: quota met, then dry
+    (3, 2000, 0.5, 5000, 10 ** 6, True, "short"),     # paper: loop bound first
+    (3, 400, 0.1, 5000, 10 ** 6, True, "exhausted"),  # paper: a symbol runs dry
+    (5, 900, 0.2, 2500, 60, False, "quota"),
+])
+def test_emit_matches_draw_at_a_time_loop(n, n_blocks, density, max_iter, quota,
+                                          paper_rules, outcome):
+    bstar = (make_rng(n_blocks).random((n, n_blocks)) < density).astype(np.int8)
+    max_iter = n * n_blocks if max_iter is None else max_iter
+    rng_a, rng_b = make_rng(31), make_rng(31)
+    want = emit_reference(bstar, max_iter, quota, paper_rules, rng_a)
+    got = _emit(bstar, max_iter, quota, paper_rules, rng_b)
+    if outcome == "exhausted" and paper_rules:
+        assert want is None and got is None
+    else:
+        assert got.tolist() == want.tolist()
+        assert (len(got) == quota) == (outcome == "quota")
+    assert rng_a.random() == rng_b.random()
+
+
+# -- window coins ------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,pmax_hat", [(2, 1.0), (16, 0.25), (300, 0.5)])
+def test_window_coins_dense_and_sorted_counts_agree(monkeypatch, n, pmax_hat):
+    items = make_rng(40 + n).integers(0, n, size=60_000)
+    runs = []
+    for factor in (10 ** 9, 0):  # dense table, then sorting
+        monkeypatch.setattr(resamplers, "DENSE_TABLE_FACTOR", factor)
+        rng = make_rng(41)
+        stream = ElementStream(items, n)
+        ones, n_windows = _window_coins(stream, int(20_000 * pmax_hat), 1.0 / pmax_hat,
+                                        20.0, rng)
+        runs.append((ones.tolist(), n_windows, stream.cursor, rng.random()))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) > 0
